@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ProxsplitError
+from .errors import ParameterError, ProxsplitError
 from .ct import Scene, build_instance, run_experiment
 from .solvers import ALGORITHMS, SolverConfig
 
@@ -68,18 +68,21 @@ def _get(cfg, key, conv, default):
 
 
 def build_runspec(cfg, out_override=None, seed_override=None):
-    scene = Scene(
-        n=_get(cfg, "scene.n", int, 64),
-        n_views=_get(cfg, "scene.n_views", int, 20),
-        n_rays=_get(cfg, "scene.n_rays", int, 95),
-        geometry=_get(cfg, "scene.geometry", str, "fan"),
-        noise_var_b=_get(cfg, "scene.noise_var_b", float, 0.01),
-        noise_var_prior=_get(cfg, "scene.noise_var_prior", float, 0.01),
-        seed=(seed_override if seed_override is not None
-              else _get(cfg, "scene.seed", int, 20170520)),
-        lambda1=_get(cfg, "scene.lambda1", float, 0.4),
-        lambda2=_get(cfg, "scene.lambda2", float, 0.5),
-    )
+    try:
+        scene = Scene(
+            n=_get(cfg, "scene.n", int, 64),
+            n_views=_get(cfg, "scene.n_views", int, 20),
+            n_rays=_get(cfg, "scene.n_rays", int, 95),
+            geometry=_get(cfg, "scene.geometry", str, "fan"),
+            noise_var_b=_get(cfg, "scene.noise_var_b", float, 0.01),
+            noise_var_prior=_get(cfg, "scene.noise_var_prior", float, 0.01),
+            seed=(seed_override if seed_override is not None
+                  else _get(cfg, "scene.seed", int, 20170520)),
+            lambda1=_get(cfg, "scene.lambda1", float, 0.4),
+            lambda2=_get(cfg, "scene.lambda2", float, 0.5),
+        )
+    except ParameterError as exc:
+        raise ConfigError(f"bad scene: {exc}")
     solvers = [s.strip() for s in
                _get(cfg, "run.solvers", str, "dfb,pdfb,admm").split(",")]
     for s in solvers:

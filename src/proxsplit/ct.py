@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, ProxsplitError
 from .linops import LinearOperator, tv_gradient
 from .prox import BoxIndicator, L1Norm, Scaled, Translated, ZeroTerm
 from .product import BlockStack
@@ -64,10 +64,16 @@ class Scene:
         if self.geometry not in ("fan", "parallel"):
             raise ParameterError(
                 f"geometry must be 'fan' or 'parallel', got {self.geometry}")
+        if self.n < 8:
+            raise ParameterError(f"scene needs n >= 8, got {self.n}")
         if self.n_views < 1 or self.n_rays < 1:
             raise ParameterError("n_views and n_rays must be >= 1")
         if self.noise_var_b < 0 or self.noise_var_prior < 0:
             raise ParameterError("noise variances must be >= 0")
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
+            raise ParameterError(
+                f"lambda1 and lambda2 must be >= 0, got {self.lambda1}, "
+                f"{self.lambda2}")
 
 
 def shepp_logan(n):
@@ -269,8 +275,9 @@ def run_experiment(scene, configs, instance=None):
     """Solve the scene's reconstruction problem once per config.
 
     Returns one result dict per config with SNR/NMSD/iteration counts and
-    the full objective/metric traces.  Per-solver errors are captured in
-    the row, not raised.
+    the full objective/metric traces.  Package errors and floating-point
+    errors of a solver are captured in its row; any other exception is a
+    bug and propagates.
     """
     if instance is None:
         instance = build_instance(scene)
@@ -293,7 +300,7 @@ def run_experiment(scene, configs, instance=None):
             else:
                 raise ParameterError(
                     f"unknown algorithm {cfg.algorithm!r}")
-        except Exception as exc:     # collected, not fatal to the batch
+        except (ProxsplitError, FloatingPointError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
             continue

@@ -5,6 +5,8 @@ stacked), so the Kronecker block I (x) B differentiates along the row
 index within each column.
 """
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -21,9 +23,12 @@ class LinearOperator:
     """A bounded linear map backed by a dense or sparse matrix.
 
     Immutable after construction; ``apply``/``adjoint_apply`` are pure.
+    ``norm_sq`` gives ||B||^2 exactly when it is known in closed form;
+    otherwise :func:`op_norm_sq` estimates it once per (tol, max_iter) and
+    keeps the estimate on the operator.
     """
 
-    def __init__(self, mat, kind):
+    def __init__(self, mat, kind, norm_sq=None):
         if sp.issparse(mat):
             mat = mat.tocsr()
             self._matT = mat.T.tocsr()
@@ -38,6 +43,8 @@ class LinearOperator:
         if self.rows < 1 or self.cols < 1:
             raise DimensionError(
                 f"operator dimensions must be positive, got {mat.shape}")
+        self._exact_norm_sq = None if norm_sq is None else float(norm_sq)
+        self._norm_sq_cache = {}
 
     def apply(self, x):
         x = np.asarray(x, dtype=float).ravel()
@@ -104,7 +111,9 @@ def tv_gradient(n, m):
     """Discrete gradient of an n x m image, stacked (2nm) x (nm).
 
     The first nm output rows are within-column (row-index) differences,
-    the second nm are across-column differences.
+    the second nm are across-column differences.  D^T D is the Kronecker
+    sum of two path-graph Laplacians with eigenvalues 4 sin^2(k pi / 2n),
+    k < n, so ||D||^2 = 4 sin^2((n-1)pi/2n) + 4 sin^2((m-1)pi/2m) exactly.
     """
     if n < 1 or m < 1:
         raise DimensionError("tv_gradient needs n, m >= 1")
@@ -112,8 +121,10 @@ def tv_gradient(n, m):
     bm = first_difference(m).matrix
     top = sp.kron(sp.identity(m), bn, format="csr")
     bottom = sp.kron(bm, sp.identity(n), format="csr")
+    norm_sq = sum(4.0 * math.sin((d - 1) * math.pi / (2 * d)) ** 2
+                  for d in (n, m))
     return LinearOperator(sp.vstack([top, bottom], format="csr"),
-                          "tv-gradient")
+                          "tv-gradient", norm_sq=norm_sq)
 
 
 def scaled(op, s):
@@ -139,16 +150,27 @@ def _seed_vectors(n):
 
 
 def op_norm_sq(op, tol=1e-9, max_iter=100_000):
-    """Estimate ||B||^2 = lambda_max(B^T B) by power iteration.
+    """||B||^2 = lambda_max(B^T B): exact if the operator carries it,
+    otherwise a power-iteration estimate made once per (tol, max_iter) and
+    kept on the operator.
 
-    Starts from a deterministic all-ones vector (deterministically perturbed
-    if that lies in the null space).  Stops when the geometric tail bound on
-    the Rayleigh-quotient error drops below ``tol`` relative, so the result
-    is within ``tol`` of the true largest eigenvalue whenever the iteration
-    converges before ``max_iter``.
+    Power iteration starts from a deterministic all-ones vector
+    (deterministically perturbed if that lies in the null space).  It stops
+    when the geometric tail bound on the Rayleigh-quotient error drops below
+    ``tol`` relative, so the result is within ``tol`` of the true largest
+    eigenvalue whenever the iteration converges before ``max_iter``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if op._exact_norm_sq is not None:
+        return op._exact_norm_sq
+    key = (tol, max_iter)
+    if key not in op._norm_sq_cache:
+        op._norm_sq_cache[key] = _power_iteration(op, tol, max_iter)
+    return op._norm_sq_cache[key]
+
+
+def _power_iteration(op, tol, max_iter):
     v = w = None
     for cand in _seed_vectors(op.cols):
         wc = op.adjoint_apply(op.apply(cand))

@@ -41,6 +41,10 @@ class BlockStack:
                 raise DimensionError(
                     f"weights must sum to 1, got {sum(weights)}")
         self.weights = weights
+        groups = {}
+        for i, (op, _) in enumerate(self.blocks):
+            groups.setdefault(id(op), (op, []))[1].append(i)
+        self._groups = tuple(groups.values())
         self._norm_tol = norm_tol
         self._norm_sq = None
 
@@ -66,18 +70,33 @@ class BlockStack:
         return out
 
     def apply_blocks(self, x):
-        """[B_1 x, ..., B_m x]."""
-        return [op.apply(x) for op, _ in self.blocks]
+        """[B_1 x, ..., B_m x], one product per distinct operator.
+
+        Blocks that share an operator share the returned array; callers
+        must not modify it in place.
+        """
+        out = [None] * self.m
+        for op, idx in self._groups:
+            bx = op.apply(x)
+            for i in idx:
+                out[i] = bx
+        return out
 
     def combined_adjoint(self, ys):
-        """sum_i w_i B_i^T y_i (weights 1 when unweighted), in block order."""
+        """sum_i w_i B_i^T y_i (weights 1 when unweighted).
+
+        Within a group of blocks sharing B, forms B^T (sum w_i y_i) with one
+        adjoint product; groups are summed in order of first appearance.
+        """
         ys = self._check_ys(ys)
-        out = np.zeros(self.primal_dim)
-        for i, ((op, _), y) in enumerate(zip(self.blocks, ys)):
-            wy = op.adjoint_apply(y)
-            if self.weights is not None:
-                wy = self.weights[i] * wy
-            out += wy
+        out = None
+        for op, idx in self._groups:
+            z = None
+            for i in idx:
+                wy = ys[i] if self.weights is None else self.weights[i] * ys[i]
+                z = wy if z is None else z + wy
+            bz = op.adjoint_apply(z)
+            out = bz if out is None else out + bz
         return out
 
     def stacked_prox(self, ys, t):

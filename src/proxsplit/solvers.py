@@ -44,17 +44,30 @@ class SmoothTerm:
 
 
 def quadratic_data_term(A, b):
-    """SmoothTerm for 0.5 ||Ax - b||^2 with gradient A^T(Ax - b)."""
+    """SmoothTerm for 0.5 ||Ax - b||^2 with gradient A^T(Ax - b).
+
+    ``value`` and ``gradient`` share the residual Ax - b of the last point
+    they saw (kept with a copy of that point and matched by content), so
+    evaluating both at one x costs one product with A, not two.
+    """
     b = np.asarray(b, dtype=float).ravel()
     if b.size != A.rows:
         raise DimensionError(f"b length {b.size} != operator rows {A.rows}")
+    last = [None, None]         # [x, A x - b]
+
+    def residual(x):
+        x = np.asarray(x, dtype=float).ravel()
+        if last[0] is None or not np.array_equal(x, last[0]):
+            last[1] = A.apply(x) - b
+            last[0] = x.copy()
+        return last[1]
 
     def value(x):
-        r = A.apply(x) - b
+        r = residual(x)
         return 0.5 * float(r @ r)
 
     def gradient(x):
-        return A.adjoint_apply(A.apply(x) - b)
+        return A.adjoint_apply(residual(x))
 
     return SmoothTerm(value, gradient, safe_norm_sq(A))
 
@@ -98,16 +111,22 @@ class PiccsProblem:
 
     def objective(self, x):
         x = np.asarray(x, dtype=float).ravel()
-        if np.any(x < self.lo) or np.any(x > self.hi):
-            return np.inf
-        r = self.A.apply(x) - self.b
-        val = 0.5 * float(r @ r)
-        if self.lam1 > 0:
-            val += self.lam1 * self.phi1.value(
-                self.D1.apply(x) - self.D1.apply(self.x_p))
-        if self.lam2 > 0:
-            val += self.lam2 * self.phi2.value(self.D2.apply(x))
-        return val
+        return _piccs_objective(
+            self, x, self.A.apply(x) - self.b, self.D1.apply(x),
+            self.D1.apply(self.x_p), self.D2.apply(x))
+
+
+def _piccs_objective(p, x, r, d1x, d1xp, d2x):
+    """PiccsProblem objective at x from the products r = Ax - b, D1 x,
+    D1 x_p and D2 x."""
+    if np.any(x < p.lo) or np.any(x > p.hi):
+        return np.inf
+    val = 0.5 * float(r @ r)
+    if p.lam1 > 0:
+        val += p.lam1 * p.phi1.value(d1x - d1xp)
+    if p.lam2 > 0:
+        val += p.lam2 * p.phi2.value(d2x)
+    return val
 
 
 ALGORITHMS = ("dfb", "pdfb", "admm")
@@ -235,8 +254,9 @@ def objective(problem, x):
     val = problem.smooth.value(x) + problem.simple.value(x)
     if not np.isfinite(val):
         return np.inf
-    for op, term in problem.stack.blocks:
-        val += term.value(op.apply(x))
+    stack = problem.stack
+    for (_, term), bx in zip(stack.blocks, stack.apply_blocks(x)):
+        val += term.value(bx)
         if not np.isfinite(val):
             return np.inf
     return val
@@ -278,14 +298,18 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
     metric_trace = [] if metric_fn is None else [metric_fn(x)]
     termination = "max-iters"
     k = 0
+    # sum_i w_i B_i^T y_i of the current duals: the final step of one outer
+    # iteration and the first inner step of the next use the same ys.
+    bty = stack.combined_adjoint(ys)
     for k in range(1, cfg.max_outer + 1):
         u = x - gamma * problem.smooth.gradient(x)
         for _ in range(cfg.inner_iters):
-            v = g.prox(u - gamma * stack.combined_adjoint(ys), gamma)
-            args = [y + (lam / gamma) * op.apply(v)
-                    for (op, _), y in zip(stack.blocks, ys)]
+            v = g.prox(u - gamma * bty, gamma)
+            args = [y + (lam / gamma) * bv
+                    for y, bv in zip(ys, stack.apply_blocks(v))]
             ys = stack.stacked_conjugate_prox(args, lam / gamma)
-        x_new = g.prox(u - gamma * stack.combined_adjoint(ys), gamma)
+            bty = stack.combined_adjoint(ys)
+        x_new = g.prox(u - gamma * bty, gamma)
         _check_finite(x_new, k)
         res = _residual(x_new, x)
         x = x_new
@@ -327,8 +351,8 @@ def solve_pdfb(problem, config, x0=None, y0=None, xbar0=None, metric_fn=None):
                 / (1.0 + tau)
             xbar_new = g.prox(arg, step_g)
             z = 2.0 * xbar_new - xbar
-            args = [(y + sigma * op.apply(z)) / gamma
-                    for (op, _), y in zip(stack.blocks, ys)]
+            args = [(y + sigma * bz) / gamma
+                    for y, bz in zip(ys, stack.apply_blocks(z))]
             ys = [gamma * yi
                   for yi in stack.stacked_conjugate_prox(args, sigma / gamma)]
             xbar = xbar_new
@@ -363,20 +387,31 @@ def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
         v1, v2 = np.zeros(D1.rows), np.zeros(D2.rows)
     else:
         v1, v2 = (np.asarray(v, dtype=float).ravel().copy() for v in v0)
+    shared = D1 is D2
     d1xp = D1.apply(problem.x_p)
+    # Products at the current x, reused by the objective and the next
+    # gradient: r = Ax - b, D1 x and D2 x.
+    r = A.apply(x) - b
+    d1x = D1.apply(x)
+    d2x = d1x if shared else D2.apply(x)
 
-    obj_trace = [problem.objective(x)]
+    obj_trace = [_piccs_objective(problem, x, r, d1x, d1xp, d2x)]
     res_trace = []
     metric_trace = [] if metric_fn is None else [metric_fn(x)]
     termination = "max-iters"
     k = 0
     for k in range(1, cfg.max_outer + 1):
-        grad = A.adjoint_apply(A.apply(x) - b)
-        grad += rho1 * D1.adjoint_apply(D1.apply(x) - y1 + v1)
-        grad += rho2 * D2.adjoint_apply(D2.apply(x) - y2 + v2)
+        grad = A.adjoint_apply(r)
+        if shared:
+            grad += D1.adjoint_apply(rho1 * (d1x - y1 + v1)
+                                     + rho2 * (d2x - y2 + v2))
+        else:
+            grad += rho1 * D1.adjoint_apply(d1x - y1 + v1)
+            grad += rho2 * D2.adjoint_apply(d2x - y2 + v2)
         x_new = np.clip(x - gamma * grad, problem.lo, problem.hi)
         _check_finite(x_new, k)
-        d1x, d2x = D1.apply(x_new), D2.apply(x_new)
+        d1x = D1.apply(x_new)
+        d2x = d1x if shared else D2.apply(x_new)
         if problem.lam1 > 0:
             y1 = prox_translated(problem.phi1, d1xp, d1x + v1,
                                  problem.lam1 / rho1)
@@ -390,8 +425,9 @@ def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
         v2 = v2 + d2x - y2
         res = _residual(x_new, x)
         x = x_new
+        r = A.apply(x) - b
         res_trace.append(res)
-        obj_trace.append(problem.objective(x))
+        obj_trace.append(_piccs_objective(problem, x, r, d1x, d1xp, d2x))
         if metric_fn is not None:
             metric_trace.append(metric_fn(x))
         if res < cfg.eps:

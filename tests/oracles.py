@@ -3,13 +3,35 @@
 These never call the closed-form prox implementations they check: the prox
 oracle minimizes 0.5||x-u||^2 + t f(x) by coarse grid search over
 [-10, 10]^dim followed by local refinement, and the problem oracle does the
-same for full composite objectives in dimension <= 4.
+same for full composite objectives in dimension <= 4.  ``CountingOperator``
+counts the products a solver or a stack makes with an operator.
 """
 
 import itertools
 
 import numpy as np
 from scipy.optimize import minimize
+
+from proxsplit import linops
+
+
+class CountingOperator(linops.LinearOperator):
+    """A LinearOperator that counts its apply and adjoint_apply calls."""
+
+    def __init__(self, op):
+        super().__init__(op.matrix, "counting")
+        self.applies = self.adjoints = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return super().apply(x)
+
+    def adjoint_apply(self, y):
+        self.adjoints += 1
+        return super().adjoint_apply(y)
+
+    def counts(self):
+        return self.applies, self.adjoints
 
 
 def prox_objective(value_fn, u, t):

@@ -139,6 +139,12 @@ def test_run_unknown_algorithm_is_usage_error(tmp_path, capsys):
     assert "dfb" in err and "pdfb" in err and "admm" in err
 
 
+def test_run_invalid_scene_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG + "scene.lambda1 = -0.4\n")
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
+    assert "lambda1" in capsys.readouterr().err
+
+
 def test_run_solver_failure_exits_nonzero(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG + "dfb.gamma = 1e9\n")
     out = tmp_path / "out"

@@ -84,6 +84,10 @@ def test_scene_validates_geometry():
         ct.Scene(geometry="cone")
     with pytest.raises(ParameterError):
         ct.Scene(noise_var_b=-1.0)
+    for bad in (dict(lambda1=-0.1), dict(lambda2=-1.0),
+                dict(lambda1=float("nan")), dict(n=7)):
+        with pytest.raises(ParameterError):
+            ct.Scene(**bad)
 
 
 # ------------------------------------------------------- noise and prior
@@ -265,3 +269,14 @@ def test_run_experiment_collects_solver_errors():
     rows = ct.run_experiment(scene, [bad, good])
     assert "error" in rows[0]
     assert "error" not in rows[1]
+
+
+def test_run_experiment_propagates_non_package_errors(monkeypatch):
+    # only package and floating-point errors become "error" rows; anything
+    # else is a bug and must not be recorded as a solver failure
+    def broken(*args, **kwargs):
+        raise IndexError("broken solver")
+    monkeypatch.setattr(ct, "solve_dfb", broken)
+    with pytest.raises(IndexError):
+        ct.run_experiment(small_scene(),
+                          [SolverConfig("dfb", max_outer=10, eps=1e-4)])

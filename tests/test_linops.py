@@ -4,6 +4,8 @@ import pytest
 from proxsplit import linops
 from proxsplit.errors import DimensionError
 
+from oracles import CountingOperator
+
 
 def dense_of(op):
     return op.to_dense()
@@ -210,6 +212,31 @@ def test_op_norm_sq_zero_operator():
 def test_safe_norm_sq_upper_bounds_dense_eig():
     for op in [linops.first_difference(50), linops.tv_gradient(7, 9)]:
         assert linops.safe_norm_sq(op) >= dense_top_eig(op)
+
+
+TV_SHAPES = [(1, 5), (5, 1), (2, 2), (5, 4), (10, 14)]
+
+
+def test_tv_gradient_closed_form_norm_matches_eigvalsh():
+    for n, m in TV_SHAPES:
+        op = linops.tv_gradient(n, m)
+        top = dense_top_eig(op)
+        assert linops.op_norm_sq(op) == pytest.approx(top, rel=1e-12), (n, m)
+        assert linops.safe_norm_sq(op) >= top
+
+
+def test_op_norm_sq_is_computed_once_per_operator():
+    rng = np.random.default_rng(22)
+    op = CountingOperator(linops.dense(rng.standard_normal((30, 20))))
+    first = linops.op_norm_sq(op)
+    assert op.applies > 0
+    before = op.counts()
+    assert linops.op_norm_sq(op) == first
+    assert linops.safe_norm_sq(op) == first * (1.0 + 10.0 * 1e-9)
+    assert op.counts() == before
+    # a different tolerance is a different estimate
+    linops.op_norm_sq(op, tol=1e-6)
+    assert op.applies > before[0]
 
 
 # --------------------------------------------------------------- atv/itv

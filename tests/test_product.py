@@ -5,6 +5,8 @@ from proxsplit import linops, prox
 from proxsplit.errors import DimensionError
 from proxsplit.product import BlockStack
 
+from oracles import CountingOperator
+
 
 def two_identity_stack(weights=None):
     return BlockStack([(linops.identity(3), prox.L1Norm(3)),
@@ -40,6 +42,60 @@ def test_rejects_bad_weights():
 def test_single_block_weight_one_allowed():
     stack = BlockStack([(linops.identity(2), prox.L1Norm(2))], weights=[1.0])
     assert stack.m == 1
+
+
+# ------------------------------------------------ blocks sharing an operator
+
+
+def shared_and_distinct_stacks(weights):
+    shared_op = linops.tv_gradient(5, 4)
+    copies = [linops.tv_gradient(5, 4), linops.tv_gradient(5, 4)]
+    terms = [prox.L1Norm(40), prox.Scaled(prox.L1Norm(40), 0.5)]
+    shared = BlockStack([(shared_op, t) for t in terms], weights=weights)
+    distinct = BlockStack(list(zip(copies, terms)), weights=weights)
+    return shared, distinct
+
+
+@pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
+def test_shared_operator_matches_distinct_copies(weights):
+    rng = np.random.default_rng(44)
+    shared, distinct = shared_and_distinct_stacks(weights)
+    for _ in range(10):
+        x = rng.standard_normal(20)
+        ys = [rng.standard_normal(40), rng.standard_normal(40)]
+        for got, want in zip(shared.apply_blocks(x),
+                             distinct.apply_blocks(x)):
+            assert np.linalg.norm(got - want) \
+                <= 1e-12 * (1 + np.linalg.norm(want))
+        got = shared.combined_adjoint(ys)
+        want = distinct.combined_adjoint(ys)
+        assert np.linalg.norm(got - want) <= 1e-12 * (1 + np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("weights", [None, [0.2, 0.3, 0.5]])
+def test_one_product_per_distinct_operator(weights):
+    rng = np.random.default_rng(45)
+    D = CountingOperator(linops.first_difference(6))
+    E = CountingOperator(linops.dense(rng.standard_normal((4, 6))))
+    stack = BlockStack([(D, prox.L1Norm(6)), (E, prox.L1Norm(4)),
+                        (D, prox.ZeroTerm(6))], weights=weights)
+    x = rng.standard_normal(6)
+    bx = stack.apply_blocks(x)
+    assert (D.counts(), E.counts()) == ((1, 0), (1, 0))
+    assert np.array_equal(bx[0], D.matrix @ x)
+    assert np.array_equal(bx[2], D.matrix @ x)
+    stack.combined_adjoint(bx)
+    assert (D.counts(), E.counts()) == ((1, 1), (1, 1))
+
+
+def test_combined_adjoint_leaves_duals_unchanged():
+    op = linops.first_difference(4)
+    stack = BlockStack([(op, prox.L1Norm(4)), (op, prox.L1Norm(4))],
+                       weights=[0.5, 0.5])
+    ys = [np.array([1.0, -2.0, 0.5, 3.0]), np.array([0.0, 1.0, 2.0, 0.0])]
+    kept = [y.copy() for y in ys]
+    stack.combined_adjoint(ys)
+    assert all(np.array_equal(y, k) for y, k in zip(ys, kept))
 
 
 # -------------------------------------------------------- combined_adjoint

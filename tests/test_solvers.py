@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from proxsplit.solvers import (CompositeProblem, PiccsProblem, SmoothTerm,
                                solve_admm, solve_dfb, solve_pdfb,
                                validate_params)
 
-from oracles import problem_oracle
+from oracles import CountingOperator, problem_oracle
 
 
 def least_squares_smooth(b):
@@ -54,6 +56,25 @@ def test_quadratic_data_term_gradient_matches_finite_differences():
         e[i] = h
         fd = (f.value(x + e) - f.value(x - e)) / (2 * h)
         assert fd == pytest.approx(g[i], rel=1e-5, abs=1e-7)
+
+
+def test_quadratic_data_term_shares_residual_between_value_and_gradient():
+    rng = np.random.default_rng(7)
+    A = CountingOperator(linops.dense(rng.standard_normal((6, 4))))
+    b = rng.standard_normal(6)
+    f = quadratic_data_term(A, b)
+    x = rng.standard_normal(4)
+    before = A.counts()
+    f.value(x)
+    f.gradient(x)
+    f.value(x.copy())
+    assert A.applies - before[0] == 1
+    # a point changed in place is a new point, not a cached one
+    x[2] += 1.0
+    r = A.matrix @ x - b
+    assert f.value(x) == 0.5 * float(r @ r)
+    assert np.array_equal(f.gradient(x), A.matrix.T @ r)
+    assert A.applies - before[0] == 2
 
 
 def test_quadratic_data_term_lipschitz_bound():
@@ -382,6 +403,138 @@ def test_pdfb_single_block_reproduces_primal_dual_scheme():
         x = x_new
         err = np.linalg.norm(iterates[k + 1] - x)
         assert err <= 1e-12 * (1 + np.linalg.norm(x))
+
+
+def shared_operator_problem(weights=None):
+    """Two blocks holding the same operator object, a box on x."""
+    rng = np.random.default_rng(52)
+    b = rng.standard_normal(6)
+    B = linops.first_difference(6)
+    terms = [prox.Scaled(prox.L1Norm(6), 0.4),
+             prox.Translated(prox.L1Norm(6), rng.standard_normal(6))]
+    problem = CompositeProblem(
+        least_squares_smooth(b), prox.BoxIndicator(6, -0.3, 1.2),
+        BlockStack([(B, t) for t in terms], weights=weights))
+    return problem, b, B, terms
+
+
+@pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
+def test_dfb_inner_iterations_reproduce_direct_scheme(weights):
+    problem, b, B, terms = shared_operator_problem(weights)
+    g = problem.simple
+    w = weights or [1.0, 1.0]
+    gamma = 1.5
+    lam = 0.5 / problem.stack.norm_sq_bound()
+    cfg = SolverConfig("dfb", gamma=gamma, lam=lam, inner_iters=3,
+                       max_outer=10, eps=1e-300)
+    iterates = capture_iterates(solve_dfb, problem, cfg)
+
+    def bty(ys):
+        return sum(wi * B.adjoint_apply(y) for wi, y in zip(w, ys))
+
+    x, ys = np.zeros(6), [np.zeros(6), np.zeros(6)]
+    for k in range(10):
+        u = x - gamma * (x - b)
+        for _ in range(3):
+            v = g.prox(u - gamma * bty(ys), gamma)
+            ys = [prox.prox_weighted_conjugate(
+                      h, wi, y + (lam / gamma) * B.apply(v), lam / gamma)
+                  for h, wi, y in zip(terms, w, ys)]
+        x = g.prox(u - gamma * bty(ys), gamma)
+        err = np.linalg.norm(iterates[k + 1] - x)
+        assert err <= 1e-12 * (1 + np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
+def test_pdfb_inner_iterations_reproduce_direct_scheme(weights):
+    problem, b, B, terms = shared_operator_problem(weights)
+    g = problem.simple
+    w = weights or [1.0, 1.0]
+    gamma, tau = 1.5, 1.0
+    sigma = 0.9 / (tau * problem.stack.norm_sq_bound())
+    cfg = SolverConfig("pdfb", gamma=gamma, sigma=sigma, tau=tau,
+                       inner_iters=3, max_outer=10, eps=1e-300)
+    iterates = capture_iterates(solve_pdfb, problem, cfg)
+
+    x, ys = np.zeros(6), [np.zeros(6), np.zeros(6)]
+    xbar = x.copy()
+    for k in range(10):
+        u = x - gamma * (x - b)
+        for _ in range(3):
+            bty = sum(wi * B.adjoint_apply(y) for wi, y in zip(w, ys))
+            xbar_new = g.prox((xbar - tau * bty + tau * u) / (1.0 + tau),
+                              tau * gamma / (1.0 + tau))
+            z = 2.0 * xbar_new - xbar
+            ys = [gamma * prox.prox_weighted_conjugate(
+                      h, wi, (y + sigma * B.apply(z)) / gamma, sigma / gamma)
+                  for h, wi, y in zip(terms, w, ys)]
+            xbar = xbar_new
+        x = xbar
+        err = np.linalg.norm(iterates[k + 1] - x)
+        assert err <= 1e-12 * (1 + np.linalg.norm(x))
+
+
+def test_admm_shared_operator_matches_distinct_copies():
+    # D1 is D2 fuses the two adjoints of the x-update into one
+    rng = np.random.default_rng(53)
+    n = 6
+    A = linops.dense(rng.standard_normal((8, n)))
+    b = rng.standard_normal(8)
+    x_p = rng.standard_normal(n)
+    D = linops.first_difference(n)
+
+    def problem(D1, D2):
+        return PiccsProblem(
+            A=A, b=b, D1=D1, D2=D2, x_p=x_p,
+            phi1=prox.L1Norm(n), phi2=prox.L1Norm(n), lam1=0.3, lam2=0.2)
+
+    shared = problem(D, D)
+    distinct = problem(D, linops.first_difference(n))
+    cfg = SolverConfig("admm", max_outer=50, eps=1e-300)
+    xs_s = capture_iterates(solve_admm, shared, cfg)
+    xs_d = capture_iterates(solve_admm, distinct, cfg)
+    for xs, xd in zip(xs_s, xs_d):
+        assert np.linalg.norm(xs - xd) <= 1e-12 * (1 + np.linalg.norm(xd))
+    rep = solve_admm(shared, cfg)
+    assert rep.objective_trace[-1] == shared.objective(rep.x_final)
+
+
+def per_iteration_counts(solve, problem, cfg, ops):
+    """(applies, adjoints) per outer iteration of each operator in ops."""
+    def run(iters):
+        before = [op.counts() for op in ops]
+        solve(problem, dataclasses.replace(cfg, max_outer=iters))
+        return [np.subtract(op.counts(), c) for op, c in zip(ops, before)]
+    solve(problem, cfg)         # norms are computed once, here
+    short, long = run(2), run(5)
+    return [tuple(int(v) for v in (lo - sh) // 3)
+            for sh, lo in zip(short, long)]
+
+
+def test_matvecs_per_iteration():
+    # dfb and pdfb: A and A^T for the gradient (the objective's Ax is
+    # reused), one D for the dual step, one D^T for both blocks, one D
+    # for the objective.  ADMM: A^T, one fused D^T, one D, one A.
+    rng = np.random.default_rng(54)
+    n = 9
+    A = CountingOperator(linops.dense(rng.standard_normal((12, n))))
+    D = CountingOperator(linops.tv_gradient(3, 3))
+    b = rng.standard_normal(12)
+    composite = CompositeProblem(
+        quadratic_data_term(A, b), prox.BoxIndicator(n),
+        BlockStack([(D, prox.L1Norm(2 * n)),
+                    (D, prox.Scaled(prox.L1Norm(2 * n), 0.5))]))
+    admm = PiccsProblem(
+        A=A, b=b, D1=D, D2=D, x_p=rng.standard_normal(n),
+        phi1=prox.L1Norm(2 * n), phi2=prox.L1Norm(2 * n),
+        lam1=0.3, lam2=0.5, lo=0.0)
+    for solve, problem, algo, want in [
+            (solve_dfb, composite, "dfb", [(1, 1), (2, 1)]),
+            (solve_pdfb, composite, "pdfb", [(1, 1), (2, 1)]),
+            (solve_admm, admm, "admm", [(1, 1), (1, 1)])]:
+        cfg = SolverConfig(algo, max_outer=1, eps=1e-300)
+        assert per_iteration_counts(solve, problem, cfg, [A, D]) == want, \
+            algo
 
 
 def test_weighted_unweighted_equivalence():
