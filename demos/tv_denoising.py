@@ -6,9 +6,9 @@ A noisy piecewise-constant signal is cleaned by solving
 
 where B is the forward-difference operator.  The dual forward-backward and
 primal-dual forward-backward solvers both consume the generic composite
-form and land on the same objective value.  (The ADMM solver targets the
-reconstruction model with a nontrivial system matrix; see
-demos/ct_reconstruction.py.)
+form and land on the same objective value.  (``solve_admm`` takes the same
+form; on denoising problems like this one it is much slower, see
+demos/ct_reconstruction.py for it on the reconstruction model.)
 
 Run:  python3 demos/tv_denoising.py
 """

@@ -13,14 +13,14 @@ Config keys (defaults in parentheses):
     scene.seed (20170520)       scene.lambda1 (0.4)     scene.lambda2 (0.5)
     run.solvers (dfb,pdfb,admm) run.eps (1e-6)          run.max_outer (40000)
     run.out (.)
-    <algo>.gamma, dfb.lambda, dfb.inner_iters, dfb.mode,
-    pdfb.sigma, pdfb.tau, pdfb.inner_iters, admm.rho1, admm.rho2
+    <algo>.gamma, dfb.lambda, dfb.inner_iters (1), dfb.mode (strict-weak),
+    pdfb.sigma, pdfb.tau, pdfb.inner_iters (1), admm.rho (1.0)
 
-Exit codes: 0 ok, 1 solver failure, 2 usage error.
+Any other key is a usage error.  Exit codes: 0 ok, 1 solver failure,
+2 usage error.
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -67,20 +67,35 @@ def _get(cfg, key, conv, default):
         raise ConfigError(f"bad value for {key}: {cfg[key]!r} ({exc})")
 
 
+# Config keys that set Scene fields (scene.<field>) and SolverConfig fields
+# (<algo>.<key>, for the keys that algorithm uses); unset fields keep their
+# defaults.
+SCENE_KEYS = {"n": int, "n_views": int, "n_rays": int, "geometry": str,
+              "noise_var_b": float, "noise_var_prior": float, "seed": int,
+              "lambda1": float, "lambda2": float}
+SOLVER_KEYS = {"gamma": ("gamma", float), "lambda": ("lam", float),
+               "sigma": ("sigma", float), "tau": ("tau", float),
+               "rho": ("rho", float), "inner_iters": ("inner_iters", int),
+               "mode": ("convergence_mode", str)}
+ALGORITHM_KEYS = {"dfb": ("gamma", "lambda", "inner_iters", "mode"),
+                  "pdfb": ("gamma", "sigma", "tau", "inner_iters"),
+                  "admm": ("gamma", "rho")}
+RUN_KEYS = ("run.solvers", "run.eps", "run.max_outer", "run.out")
+KNOWN_KEYS = frozenset(
+    [f"scene.{k}" for k in SCENE_KEYS] + list(RUN_KEYS)
+    + [f"{a}.{k}" for a, keys in ALGORITHM_KEYS.items() for k in keys])
+
+
 def build_runspec(cfg, out_override=None, seed_override=None):
+    unknown = sorted(set(cfg) - KNOWN_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    scene_args = {k: _get(cfg, f"scene.{k}", conv, None)
+                  for k, conv in SCENE_KEYS.items() if f"scene.{k}" in cfg}
+    if seed_override is not None:
+        scene_args["seed"] = seed_override
     try:
-        scene = Scene(
-            n=_get(cfg, "scene.n", int, 64),
-            n_views=_get(cfg, "scene.n_views", int, 20),
-            n_rays=_get(cfg, "scene.n_rays", int, 95),
-            geometry=_get(cfg, "scene.geometry", str, "fan"),
-            noise_var_b=_get(cfg, "scene.noise_var_b", float, 0.01),
-            noise_var_prior=_get(cfg, "scene.noise_var_prior", float, 0.01),
-            seed=(seed_override if seed_override is not None
-                  else _get(cfg, "scene.seed", int, 20170520)),
-            lambda1=_get(cfg, "scene.lambda1", float, 0.4),
-            lambda2=_get(cfg, "scene.lambda2", float, 0.5),
-        )
+        scene = Scene(**scene_args)
     except ParameterError as exc:
         raise ConfigError(f"bad scene: {exc}")
     solvers = [s.strip() for s in
@@ -90,29 +105,22 @@ def build_runspec(cfg, out_override=None, seed_override=None):
             raise ConfigError(
                 f"unknown algorithm {s!r}; valid options: "
                 f"{', '.join(ALGORITHMS)}")
-    eps_list = [float(e) for e in
-                _get(cfg, "run.eps", str, "1e-6").split(",")]
+    eps_list = _get(cfg, "run.eps",
+                    lambda v: [float(e) for e in v.split(",")], [1e-6])
     max_outer = _get(cfg, "run.max_outer", int, 40_000)
     out_dir = Path(out_override if out_override is not None
                    else _get(cfg, "run.out", str, "."))
 
     configs = []
     for algo in solvers:
+        solver_args = {}
+        for k in ALGORITHM_KEYS[algo]:
+            if f"{algo}.{k}" in cfg:
+                name, conv = SOLVER_KEYS[k]
+                solver_args[name] = _get(cfg, f"{algo}.{k}", conv, None)
         for eps in eps_list:
-            configs.append(SolverConfig(
-                algorithm=algo,
-                gamma=_get(cfg, f"{algo}.gamma", float, None),
-                lam=_get(cfg, f"{algo}.lambda", float, None),
-                sigma=_get(cfg, f"{algo}.sigma", float, None),
-                tau=_get(cfg, f"{algo}.tau", float, None),
-                rho1=_get(cfg, f"{algo}.rho1", float, None),
-                rho2=_get(cfg, f"{algo}.rho2", float, None),
-                inner_iters=_get(cfg, f"{algo}.inner_iters", int, 1),
-                max_outer=max_outer,
-                eps=eps,
-                convergence_mode=_get(cfg, f"{algo}.mode", str,
-                                      "strict-weak"),
-            ))
+            configs.append(SolverConfig(algo, max_outer=max_outer, eps=eps,
+                                        **solver_args))
     return scene, configs, out_dir
 
 

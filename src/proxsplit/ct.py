@@ -169,7 +169,7 @@ def build_projector(scene):
     mat = sp.csr_matrix(
         (np.array(data), np.array(indices, dtype=int), np.array(indptr)),
         shape=(scene.n_views * scene.n_rays, n * n))
-    return LinearOperator(mat, "sparse-matrix")
+    return LinearOperator(mat)
 
 
 def add_gaussian_noise(v, variance, seed):
@@ -227,7 +227,7 @@ class PiccsInstance:
     D: LinearOperator
 
     def composite(self):
-        """The model as a CompositeProblem for the splitting solvers."""
+        """The model as a CompositeProblem for the solvers."""
         scene = self.scene
         n2 = scene.n * scene.n
         if scene.lambda1 > 0:
@@ -246,7 +246,7 @@ class PiccsInstance:
         )
 
     def admm_problem(self):
-        """The same model in the explicit form the ADMM solver consumes."""
+        """The same model as an explicit :class:`PiccsProblem` record."""
         scene = self.scene
         return PiccsProblem(
             A=self.A, b=self.b, D1=self.D, D2=self.D, x_p=self.x_p,
@@ -282,24 +282,18 @@ def run_experiment(scene, configs, instance=None):
     if instance is None:
         instance = build_instance(scene)
     composite = instance.composite()
-    admm_prob = instance.admm_problem()
+    # Looked up per call, not at import, so a solver rebound on this module
+    # is the one that runs.
+    solvers = {"dfb": solve_dfb, "pdfb": solve_pdfb, "admm": solve_admm}
     rows = []
     for cfg in configs:
         row = {"algorithm": cfg.algorithm, "eps": cfg.eps}
         try:
-            metric = lambda x: snr(instance.phantom, x)  # noqa: E731
-            if cfg.algorithm == "dfb":
-                report = solve_dfb(composite, cfg, metric_fn=metric)
-                final_obj = report.objective_trace[-1]
-            elif cfg.algorithm == "pdfb":
-                report = solve_pdfb(composite, cfg, metric_fn=metric)
-                final_obj = report.objective_trace[-1]
-            elif cfg.algorithm == "admm":
-                report = solve_admm(admm_prob, cfg, metric_fn=metric)
-                final_obj = report.objective_trace[-1]
-            else:
+            if cfg.algorithm not in solvers:
                 raise ParameterError(
                     f"unknown algorithm {cfg.algorithm!r}")
+            report = solvers[cfg.algorithm](
+                composite, cfg, metric_fn=lambda x: snr(instance.phantom, x))
         except (ProxsplitError, FloatingPointError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
@@ -308,7 +302,7 @@ def run_experiment(scene, configs, instance=None):
             snr_db=snr(instance.phantom, report.x_final),
             nmsd=nmsd(instance.phantom, report.x_final),
             iterations=report.outer_iters,
-            final_objective=final_obj,
+            final_objective=report.objective_trace[-1],
             terminated_by=report.termination,
             report=report,
         )

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionError
+from .rng import Stream
 
 __all__ = [
     "LinearOperator", "identity", "dense", "sparse", "zero",
@@ -28,7 +29,7 @@ class LinearOperator:
     keeps the estimate on the operator.
     """
 
-    def __init__(self, mat, kind, norm_sq=None):
+    def __init__(self, mat, norm_sq=None):
         if sp.issparse(mat):
             mat = mat.tocsr()
             self._matT = mat.T.tocsr()
@@ -38,7 +39,6 @@ class LinearOperator:
                 raise DimensionError("matrix must be 2-dimensional")
             self._matT = mat.T
         self._mat = mat
-        self.kind = kind
         self.rows, self.cols = mat.shape
         if self.rows < 1 or self.cols < 1:
             raise DimensionError(
@@ -71,27 +71,27 @@ class LinearOperator:
         return np.array(self._mat)
 
     def __repr__(self):
-        return f"LinearOperator({self.rows}x{self.cols}, kind={self.kind!r})"
+        return f"LinearOperator({self.rows}x{self.cols})"
 
 
 def identity(n):
     if n < 1:
         raise DimensionError("identity needs n >= 1")
-    return LinearOperator(sp.identity(n, format="csr"), "identity")
+    return LinearOperator(sp.identity(n, format="csr"))
 
 
 def dense(mat):
-    return LinearOperator(np.asarray(mat, dtype=float), "dense-matrix")
+    return LinearOperator(np.asarray(mat, dtype=float))
 
 
 def sparse(mat):
-    return LinearOperator(sp.csr_matrix(mat), "sparse-matrix")
+    return LinearOperator(sp.csr_matrix(mat))
 
 
 def zero(rows, cols):
     if rows < 1 or cols < 1:
         raise DimensionError("zero operator needs positive dimensions")
-    return LinearOperator(sp.csr_matrix((rows, cols)), "sparse-matrix")
+    return LinearOperator(sp.csr_matrix((rows, cols)))
 
 
 def first_difference(n):
@@ -104,7 +104,7 @@ def first_difference(n):
     cols[1::2] = np.arange(1, n)
     data = np.tile([-1.0, 1.0], n - 1)
     mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return LinearOperator(mat, "first-difference")
+    return LinearOperator(mat)
 
 
 def tv_gradient(n, m):
@@ -124,11 +124,11 @@ def tv_gradient(n, m):
     norm_sq = sum(4.0 * math.sin((d - 1) * math.pi / (2 * d)) ** 2
                   for d in (n, m))
     return LinearOperator(sp.vstack([top, bottom], format="csr"),
-                          "tv-gradient", norm_sq=norm_sq)
+                          norm_sq=norm_sq)
 
 
 def scaled(op, s):
-    return LinearOperator(op.matrix * float(s), "scaled")
+    return LinearOperator(op.matrix * float(s))
 
 
 def compose(a, b):
@@ -136,17 +136,12 @@ def compose(a, b):
     if b.rows != a.cols:
         raise DimensionError(
             f"cannot compose {a.rows}x{a.cols} after {b.rows}x{b.cols}")
-    return LinearOperator(a.matrix @ b.matrix, "composition")
+    return LinearOperator(a.matrix @ b.matrix)
 
 
-def _seed_vectors(n):
-    v = np.ones(n)
-    yield v / np.linalg.norm(v)
-    v = 1.0 + np.arange(n, dtype=float) / n
-    yield v / np.linalg.norm(v)
-    v = np.zeros(n)
-    v[0] = 1.0
-    yield v
+# Seed of the power-iteration start vector, fixed so that every estimate
+# is reproducible.
+_START_SEED = 1
 
 
 def op_norm_sq(op, tol=1e-9, max_iter=100_000):
@@ -154,11 +149,13 @@ def op_norm_sq(op, tol=1e-9, max_iter=100_000):
     otherwise a power-iteration estimate made once per (tol, max_iter) and
     kept on the operator.
 
-    Power iteration starts from a deterministic all-ones vector
-    (deterministically perturbed if that lies in the null space).  It stops
-    when the geometric tail bound on the Rayleigh-quotient error drops below
-    ``tol`` relative, so the result is within ``tol`` of the true largest
-    eigenvalue whenever the iteration converges before ``max_iter``.
+    Power iteration starts from a fixed-seed Gaussian vector, which has a
+    component along every eigenvector of B^T B with probability one (a
+    structured start such as the all-ones vector can be orthogonal to the
+    top one and converge to a lower eigenvalue).  It stops when the geometric tail bound on the
+    Rayleigh-quotient error drops below ``tol`` relative, so the result is
+    within ``tol`` of the true largest eigenvalue whenever the iteration
+    converges before ``max_iter``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -171,14 +168,9 @@ def op_norm_sq(op, tol=1e-9, max_iter=100_000):
 
 
 def _power_iteration(op, tol, max_iter):
-    v = w = None
-    for cand in _seed_vectors(op.cols):
-        wc = op.adjoint_apply(op.apply(cand))
-        if np.linalg.norm(wc) > 0:
-            v, w = cand, wc
-            break
-    if v is None:
-        return 0.0
+    v = Stream(_START_SEED).gaussians(op.cols)
+    v /= np.linalg.norm(v)
+    w = op.adjoint_apply(op.apply(v))
     lam = float(v @ w)
     diff_prev = np.inf
     for _ in range(max_iter):

@@ -14,8 +14,7 @@ __all__ = [
     "ProxTerm", "L1Norm", "GroupL21", "BoxIndicator", "ZeroTerm",
     "Translated", "Scaled",
     "prox_l1", "prox_l21", "project_box",
-    "prox_conjugate", "prox_translated", "prox_scaled",
-    "prox_weighted_conjugate",
+    "prox_conjugate", "prox_weighted_conjugate",
 ]
 
 
@@ -183,23 +182,6 @@ def prox_conjugate(f, u, t):
     _check_step(t)
     u = _vec(u)
     return u - t * f.prox(u / t, 1.0 / t)
-
-
-def prox_translated(f, c, u, t):
-    """prox of x -> f(x - c) at u with step t."""
-    c = _vec(c)
-    u = _vec(u)
-    if c.size != u.size:
-        raise DimensionError(f"shift length {c.size} != input {u.size}")
-    return c + f.prox(u - c, t)
-
-
-def prox_scaled(f, s, u, t):
-    """prox of x -> s f(x) at u with step t."""
-    if not s > 0:
-        raise ParameterError(f"scale must be positive, got {s}")
-    _check_step(t)
-    return f.prox(u, s * t)
 
 
 def prox_weighted_conjugate(f, w, u, t):

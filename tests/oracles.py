@@ -19,7 +19,7 @@ class CountingOperator(linops.LinearOperator):
     """A LinearOperator that counts its apply and adjoint_apply calls."""
 
     def __init__(self, op):
-        super().__init__(op.matrix, "counting")
+        super().__init__(op.matrix)
         self.applies = self.adjoints = 0
 
     def apply(self, x):

@@ -15,7 +15,7 @@ import pytest
 from proxsplit import ct, linops, prox
 from proxsplit.errors import ParameterError
 from proxsplit.product import BlockStack
-from proxsplit.solvers import (CompositeProblem, PiccsProblem, SmoothTerm,
+from proxsplit.solvers import (CompositeProblem, SmoothTerm,
                                SolverConfig, objective, solve_admm,
                                solve_dfb, solve_pdfb, validate_params)
 
@@ -47,7 +47,7 @@ def desk_rows():
     configs = [
         SolverConfig("dfb", max_outer=60_000, eps=1e-8),
         SolverConfig("pdfb", max_outer=60_000, eps=1e-8),
-        SolverConfig("admm", rho1=5.0, rho2=5.0, max_outer=20_000, eps=1e-8),
+        SolverConfig("admm", rho=5.0, max_outer=20_000, eps=1e-8),
     ]
     rows = ct.run_experiment(DESK_SCENE, configs)
     by_algo = {row["algorithm"]: row for row in rows}
@@ -242,19 +242,11 @@ def test_criterion_6_small_instance_optimality(capsys):
                                 points=9)
         best = four_pixel_objective(x_star)
         problem = four_pixel_problem()
-        admm = PiccsProblem(
-            A=linops.identity(4), b=FOUR_PIXEL_B, D1=linops.zero(4, 4),
-            D2=linops.first_difference(4), x_p=np.zeros(4),
-            phi1=prox.L1Norm(4), phi2=prox.L1Norm(4), lam1=0.0, lam2=0.5,
-            lo=-np.inf, hi=np.inf)
         finals = {
-            "dfb": objective(problem, solve_dfb(problem, SolverConfig(
-                "dfb", max_outer=100_000, eps=1e-10)).x_final),
-            "pdfb": objective(problem, solve_pdfb(problem, SolverConfig(
-                "pdfb", max_outer=100_000, eps=1e-10)).x_final),
-            "admm": admm.objective(solve_admm(admm, SolverConfig(
-                "admm", max_outer=100_000, eps=1e-10)).x_final),
-        }
+            algo: objective(problem, solve(problem, SolverConfig(
+                algo, max_outer=100_000, eps=1e-10)).x_final)
+            for algo, solve in (("dfb", solve_dfb), ("pdfb", solve_pdfb),
+                                ("admm", solve_admm))}
         for algo, val in finals.items():
             assert abs(val - best) <= 1e-6 * (1 + abs(best)), (algo, val,
                                                                best)

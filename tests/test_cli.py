@@ -76,8 +76,24 @@ def test_build_runspec_rejects_unknown_algorithm():
 
 def test_build_runspec_per_algorithm_overrides():
     _, configs, _ = cli.build_runspec(
-        {"run.solvers": "admm", "admm.rho1": "5.0", "admm.rho2": "0.5"})
-    assert configs[0].rho1 == 5.0 and configs[0].rho2 == 0.5
+        {"run.solvers": "admm,dfb", "admm.rho": "5.0", "dfb.lambda": "0.1",
+         "dfb.mode": "relaxed-finite"})
+    assert configs[0].rho == 5.0 and configs[0].lam is None
+    assert configs[1].rho == 1.0 and configs[1].lam == 0.1
+    assert configs[1].convergence_mode == "relaxed-finite"
+
+
+def test_build_runspec_rejects_unknown_keys():
+    # misspelt, renamed, or read by no solver
+    for key in ("dfb.lamda", "scene.nn", "admm.rho1", "run.seed",
+                "admm.lambda", "pdfb.mode"):
+        with pytest.raises(ConfigError, match=key):
+            cli.build_runspec({key: "1"})
+
+
+def test_build_runspec_rejects_bad_eps():
+    with pytest.raises(ConfigError, match="run.eps"):
+        cli.build_runspec({"run.eps": "1e-6,tight"})
 
 
 # --------------------------------------------------------------------- run

@@ -198,16 +198,20 @@ def test_objective_infinite_for_negative_pixels():
     assert objective(problem, x) == np.inf
 
 
-def test_composite_and_admm_objectives_agree_on_feasible_points():
+def test_composite_objective_matches_written_out_model():
+    # 0.5||Ax - b||^2 + lam1 ||D(x - x_p)||_1 + lam2 ||Dx||_1 on x >= 0
     scene = small_scene()
     inst = ct.build_instance(scene)
     composite = inst.composite()
-    admm = inst.admm_problem()
+    A, D = inst.A.to_dense(), inst.D.to_dense()
     rng = np.random.default_rng(71)
     for _ in range(5):
         x = rng.uniform(0.0, 1.0, scene.n * scene.n)
-        a, b = objective(composite, x), admm.objective(x)
-        assert a == pytest.approx(b, rel=1e-12)
+        r = A @ x - inst.b
+        want = (0.5 * float(r @ r)
+                + scene.lambda1 * float(np.abs(D @ (x - inst.x_p)).sum())
+                + scene.lambda2 * float(np.abs(D @ x).sum()))
+        assert objective(composite, x) == pytest.approx(want, rel=1e-12)
 
 
 def test_instance_uses_named_substreams():

@@ -209,6 +209,20 @@ def test_op_norm_sq_zero_operator():
     assert linops.op_norm_sq(linops.zero(4, 3)) == 0.0
 
 
+def test_op_norm_sq_finds_top_eigenvalue_of_small_first_differences():
+    # the all-ones vector lies in B^T B's null space here and the ramp
+    # 1 + i/n has no component along the top eigenvector, so power
+    # iteration from either converges to a lower eigenvalue (1.0 against
+    # 3.0 for n = 3); a start with too little of it stops early
+    tol = 1e-9
+    for n in (3, 5, 65):
+        op = linops.first_difference(n)
+        exact = dense_top_eig(op)
+        assert abs(linops.op_norm_sq(op, tol=tol) - exact) \
+            <= 10 * tol * exact, n
+        assert linops.safe_norm_sq(op, tol=tol) >= exact, n
+
+
 def test_safe_norm_sq_upper_bounds_dense_eig():
     for op in [linops.first_difference(50), linops.tv_gradient(7, 9)]:
         assert linops.safe_norm_sq(op) >= dense_top_eig(op)

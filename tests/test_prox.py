@@ -141,44 +141,46 @@ def test_prox_conjugate_of_origin_indicator_is_identity():
     assert np.array_equal(got, u)
 
 
-# ---------------------------------------------------------- prox_translated
+# ---------------------------------------------------- Translated (x - c)
 
 
 def test_prox_translated_zero_shift():
     f = prox.L1Norm(2)
     u = np.array([2.0, -3.0])
-    assert np.array_equal(prox.prox_translated(f, np.zeros(2), u, 1.0),
+    assert np.array_equal(prox.Translated(f, np.zeros(2)).prox(u, 1.0),
                           f.prox(u, 1.0))
 
 
 def test_prox_translated_l1_example():
-    got = prox.prox_translated(prox.L1Norm(1), [1.0], [3.0], 1.0)
+    got = prox.Translated(prox.L1Norm(1), [1.0]).prox([3.0], 1.0)
     want = prox_oracle(lambda x: abs(x[0] - 1.0), [3.0], 1.0)
     assert np.allclose(got, [2.0])
     assert np.allclose(got, want, atol=1e-4)
 
 
 def test_prox_translated_fixed_point_at_shift():
-    got = prox.prox_translated(prox.L1Norm(2), [1.0, 2.0], [1.0, 2.0], 1.0)
+    got = prox.Translated(prox.L1Norm(2), [1.0, 2.0]).prox([1.0, 2.0], 1.0)
     assert np.array_equal(got, [1.0, 2.0])
 
 
 def test_prox_translated_dimension_mismatch():
     with pytest.raises(DimensionError):
-        prox.prox_translated(prox.L1Norm(2), [1.0], [1.0, 2.0], 1.0)
+        prox.Translated(prox.L1Norm(2), [1.0])
+    with pytest.raises(DimensionError):
+        prox.Translated(prox.L1Norm(2), [1.0, 2.0]).prox([1.0], 1.0)
 
 
-# --------------------------------------------------------------- prox_scaled
+# ------------------------------------------------------------ Scaled (s f)
 
 
 def test_prox_scaled_unit_scale():
     f = prox.L1Norm(2)
     u = np.array([2.0, -3.0])
-    assert np.array_equal(prox.prox_scaled(f, 1.0, u, 1.0), f.prox(u, 1.0))
+    assert np.array_equal(prox.Scaled(f, 1.0).prox(u, 1.0), f.prox(u, 1.0))
 
 
 def test_prox_scaled_l1_example():
-    got = prox.prox_scaled(prox.L1Norm(1), 0.5, [2.0], 2.0)
+    got = prox.Scaled(prox.L1Norm(1), 0.5).prox([2.0], 2.0)
     want = prox_oracle(lambda x: 2.0 * 0.5 * abs(x[0]), [2.0], 1.0)
     assert np.allclose(got, [1.0])
     assert np.allclose(got, want, atol=1e-4)
@@ -186,13 +188,14 @@ def test_prox_scaled_l1_example():
 
 def test_prox_scaled_vanishing_step():
     u = np.array([4.0, -1.0])
-    got = prox.prox_scaled(prox.L1Norm(2), 1e-9, u, 1e-6)
+    got = prox.Scaled(prox.L1Norm(2), 1e-9).prox(u, 1e-6)
     assert np.allclose(got, u, atol=1e-11)
 
 
 def test_prox_scaled_rejects_nonpositive_scale():
-    with pytest.raises(ParameterError):
-        prox.prox_scaled(prox.L1Norm(1), 0.0, [1.0], 1.0)
+    for s in (0.0, -1.0):
+        with pytest.raises(ParameterError):
+            prox.Scaled(prox.L1Norm(1), s)
 
 
 # ----------------------------------------------- prox_weighted_conjugate
@@ -283,13 +286,14 @@ def test_subgradient_characterization():
 
 
 def test_scaled_translated_composition_matches_oracle():
-    # prox of x -> s f(x - c) two ways: composed helpers vs direct oracle
+    # prox of x -> s f(x - c) two ways: the composition against a
+    # translated prox with step s*t, and against a direct oracle
     s, c, t = 0.6, np.array([0.5, -1.0]), 1.2
     base = prox.L1Norm(2)
     term = prox.Scaled(prox.Translated(base, c), s)
     u = np.array([2.0, 0.3])
     got = term.prox(u, t)
-    helper = prox.prox_translated(base, c, u, s * t)
+    helper = prox.Translated(base, c).prox(u, s * t)
     want = prox_oracle(lambda x: s * np.abs(x - c).sum(), u, t)
     assert np.allclose(got, helper, atol=1e-14)
     assert np.allclose(got, want, atol=1e-4)

@@ -6,7 +6,7 @@ import pytest
 from proxsplit import linops, prox
 from proxsplit.errors import DimensionError, DivergenceError, ParameterError
 from proxsplit.product import BlockStack
-from proxsplit.solvers import (CompositeProblem, PiccsProblem, SmoothTerm,
+from proxsplit.solvers import (CompositeProblem, SmoothTerm,
                                SolverConfig, objective, quadratic_data_term,
                                solve_admm, solve_dfb, solve_pdfb,
                                validate_params)
@@ -92,6 +92,9 @@ def test_quadratic_data_term_rejects_bad_rhs():
     A = linops.identity(3)
     with pytest.raises(DimensionError):
         quadratic_data_term(A, np.zeros(4))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="non-finite"):
+            quadratic_data_term(A, [0.0, bad, 1.0])
 
 
 # --------------------------------------------------------- validate_params
@@ -162,15 +165,20 @@ def test_validate_admm_gamma_bound():
     n = 4
     A = linops.identity(n)
     D = linops.first_difference(n)
-    problem = PiccsProblem(A=A, b=np.zeros(n), D1=D, D2=D,
-                           x_p=np.zeros(n), phi1=prox.L1Norm(n),
-                           phi2=prox.L1Norm(n), lam1=0.4, lam2=0.5)
+    problem = CompositeProblem(
+        quadratic_data_term(A, np.zeros(n)), prox.ZeroTerm(n),
+        BlockStack([(D, prox.Scaled(prox.L1Norm(n), 0.4)),
+                    (D, prox.Scaled(prox.L1Norm(n), 0.5))]))
     bound = (linops.safe_norm_sq(A) + 2 * linops.safe_norm_sq(D))
     validate_params(problem, SolverConfig("admm", gamma=1.9 / bound))
     with pytest.raises(ParameterError):
         validate_params(problem, SolverConfig("admm", gamma=2.0 / bound))
     with pytest.raises(ParameterError):
-        validate_params(problem, SolverConfig("admm", rho1=-1.0))
+        validate_params(problem, SolverConfig("admm", rho=-1.0))
+    # the penalty scales the stack's share of the bound
+    cfg = validate_params(problem, SolverConfig("admm", rho=5.0))
+    assert cfg.gamma == 1.9 / (linops.safe_norm_sq(A)
+                               + 5.0 * problem.stack.norm_sq_bound())
 
 
 # --------------------------------------------------------------- objective
@@ -304,22 +312,14 @@ def test_pdfb_four_pixel_agrees_with_dfb_objective():
 # ------------------------------------------------------------- solve_admm
 
 
-def four_pixel_admm_problem():
-    n = 4
-    return PiccsProblem(
-        A=linops.identity(n), b=FOUR_PIXEL_B,
-        D1=linops.zero(n, n), D2=linops.first_difference(n),
-        x_p=np.zeros(n), phi1=prox.L1Norm(n), phi2=prox.L1Norm(n),
-        lam1=0.0, lam2=0.5, lo=-np.inf, hi=np.inf)
-
-
 def test_admm_pure_least_squares():
+    # both penalties act through zero operators, so only the data term moves
     n = 3
     b = np.array([1.0, -2.0, 0.5])
-    problem = PiccsProblem(
-        A=linops.identity(n), b=b, D1=linops.zero(n, n),
-        D2=linops.zero(n, n), x_p=np.zeros(n), phi1=prox.L1Norm(n),
-        phi2=prox.L1Norm(n), lam1=0.3, lam2=0.7, lo=-np.inf, hi=np.inf)
+    problem = CompositeProblem(
+        quadratic_data_term(linops.identity(n), b), prox.ZeroTerm(n),
+        BlockStack([(linops.zero(n, n), prox.Scaled(prox.L1Norm(n), 0.3)),
+                    (linops.zero(n, n), prox.Scaled(prox.L1Norm(n), 0.7))]))
     rep = solve_admm(problem, SolverConfig("admm", max_outer=5000, eps=1e-12))
     assert np.allclose(rep.x_final, b, atol=1e-8)
 
@@ -327,23 +327,23 @@ def test_admm_pure_least_squares():
 def test_admm_zero_weights_projected_least_squares():
     n = 3
     b = np.array([1.0, -2.0, 0.5])
-    problem = PiccsProblem(
-        A=linops.identity(n), b=b, D1=linops.first_difference(n),
-        D2=linops.first_difference(n), x_p=np.zeros(n),
-        phi1=prox.L1Norm(n), phi2=prox.L1Norm(n),
-        lam1=0.0, lam2=0.0, lo=0.0, hi=np.inf)
+    D = linops.first_difference(n)
+    problem = CompositeProblem(
+        quadratic_data_term(linops.identity(n), b),
+        prox.BoxIndicator(n, 0.0, np.inf),
+        BlockStack([(D, prox.ZeroTerm(n)), (D, prox.ZeroTerm(n))]))
     rep = solve_admm(problem, SolverConfig("admm", max_outer=5000, eps=1e-12))
     assert np.allclose(rep.x_final, np.clip(b, 0.0, None), atol=1e-6)
 
 
 def test_admm_four_pixel_matches_oracle_objective():
-    problem = four_pixel_admm_problem()
+    problem = tv_denoise_problem(FOUR_PIXEL_B)
     rep = solve_admm(problem,
                      SolverConfig("admm", max_outer=50000, eps=1e-10))
     want_x = problem_oracle(four_pixel_objective, 4, lo=-0.5, hi=1.5,
                             points=9)
     want = four_pixel_objective(want_x)
-    got = problem.objective(rep.x_final)
+    got = objective(problem, rep.x_final)
     assert abs(got - want) <= 1e-6 * (1 + abs(want))
 
 
@@ -475,7 +475,7 @@ def test_pdfb_inner_iterations_reproduce_direct_scheme(weights):
 
 
 def test_admm_shared_operator_matches_distinct_copies():
-    # D1 is D2 fuses the two adjoints of the x-update into one
+    # blocks holding one operator object share B x and one fused adjoint
     rng = np.random.default_rng(53)
     n = 6
     A = linops.dense(rng.standard_normal((8, n)))
@@ -484,9 +484,11 @@ def test_admm_shared_operator_matches_distinct_copies():
     D = linops.first_difference(n)
 
     def problem(D1, D2):
-        return PiccsProblem(
-            A=A, b=b, D1=D1, D2=D2, x_p=x_p,
-            phi1=prox.L1Norm(n), phi2=prox.L1Norm(n), lam1=0.3, lam2=0.2)
+        h1 = prox.Scaled(prox.Translated(prox.L1Norm(n), D1.apply(x_p)), 0.3)
+        h2 = prox.Scaled(prox.L1Norm(n), 0.2)
+        return CompositeProblem(
+            quadratic_data_term(A, b), prox.BoxIndicator(n),
+            BlockStack([(D1, h1), (D2, h2)]))
 
     shared = problem(D, D)
     distinct = problem(D, linops.first_difference(n))
@@ -496,7 +498,35 @@ def test_admm_shared_operator_matches_distinct_copies():
     for xs, xd in zip(xs_s, xs_d):
         assert np.linalg.norm(xs - xd) <= 1e-12 * (1 + np.linalg.norm(xd))
     rep = solve_admm(shared, cfg)
-    assert rep.objective_trace[-1] == shared.objective(rep.x_final)
+    assert rep.objective_trace[-1] == objective(shared, rep.x_final)
+
+
+@pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
+def test_admm_reproduces_linearized_admm_scheme(weights):
+    # hand-rolled linearized ADMM with per-block penalties rho_i = rho*w_i:
+    #   x+  = prox_g(x - gamma (grad f(x) + sum_i rho_i B'(B x - y_i + v_i)))
+    #   y_i = prox_{h_i/rho_i}(B x+ + v_i);  v_i += B x+ - y_i
+    problem, b, B, terms = shared_operator_problem(weights)
+    g = problem.simple
+    rho = 2.5
+    rhos = [rho * w for w in (weights or [1.0, 1.0])]
+    gamma = 0.9 / (problem.smooth.lipschitz
+                   + rho * problem.stack.norm_sq_bound())
+    cfg = SolverConfig("admm", gamma=gamma, rho=rho, max_outer=10,
+                       eps=1e-300)
+    iterates = capture_iterates(solve_admm, problem, cfg)
+
+    x = np.zeros(6)
+    ys, vs = [np.zeros(6), np.zeros(6)], [np.zeros(6), np.zeros(6)]
+    for k in range(10):
+        grad = (x - b) + sum(r * B.adjoint_apply(B.apply(x) - y + v)
+                             for r, y, v in zip(rhos, ys, vs))
+        x = g.prox(x - gamma * grad, gamma)
+        bx = B.apply(x)
+        ys = [h.prox(bx + v, 1.0 / r) for h, r, v in zip(terms, rhos, vs)]
+        vs = [v + bx - y for v, y in zip(vs, ys)]
+        err = np.linalg.norm(iterates[k + 1] - x)
+        assert err <= 1e-12 * (1 + np.linalg.norm(x))
 
 
 def per_iteration_counts(solve, problem, cfg, ops):
@@ -514,7 +544,8 @@ def per_iteration_counts(solve, problem, cfg, ops):
 def test_matvecs_per_iteration():
     # dfb and pdfb: A and A^T for the gradient (the objective's Ax is
     # reused), one D for the dual step, one D^T for both blocks, one D
-    # for the objective.  ADMM: A^T, one fused D^T, one D, one A.
+    # for the objective.  ADMM: A^T, one fused D^T, one D (shared by the
+    # y-step and the objective), one A.
     rng = np.random.default_rng(54)
     n = 9
     A = CountingOperator(linops.dense(rng.standard_normal((12, n))))
@@ -524,14 +555,10 @@ def test_matvecs_per_iteration():
         quadratic_data_term(A, b), prox.BoxIndicator(n),
         BlockStack([(D, prox.L1Norm(2 * n)),
                     (D, prox.Scaled(prox.L1Norm(2 * n), 0.5))]))
-    admm = PiccsProblem(
-        A=A, b=b, D1=D, D2=D, x_p=rng.standard_normal(n),
-        phi1=prox.L1Norm(2 * n), phi2=prox.L1Norm(2 * n),
-        lam1=0.3, lam2=0.5, lo=0.0)
     for solve, problem, algo, want in [
             (solve_dfb, composite, "dfb", [(1, 1), (2, 1)]),
             (solve_pdfb, composite, "pdfb", [(1, 1), (2, 1)]),
-            (solve_admm, admm, "admm", [(1, 1), (1, 1)])]:
+            (solve_admm, composite, "admm", [(1, 1), (1, 1)])]:
         cfg = SolverConfig(algo, max_outer=1, eps=1e-300)
         assert per_iteration_counts(solve, problem, cfg, [A, D]) == want, \
             algo
