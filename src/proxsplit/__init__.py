@@ -7,8 +7,8 @@ from .linops import (LinearOperator, atv, compose, dense, first_difference,
                      identity, itv, op_norm_sq, safe_norm_sq, scaled, sparse,
                      tv_gradient, zero)
 from .prox import (BoxIndicator, GroupL21, L1Norm, ProxTerm, Scaled,
-                   Translated, ZeroTerm, project_box, prox_conjugate,
-                   prox_l1, prox_l21, prox_weighted_conjugate)
+                   Translated, ZeroTerm, prox_conjugate,
+                   prox_weighted_conjugate)
 from .product import BlockStack
 from .solvers import (CompositeProblem, PiccsProblem, SmoothTerm,
                       SolverConfig, SolveReport, objective,

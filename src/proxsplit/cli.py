@@ -3,7 +3,6 @@
 ``proxsplit run <config> [--out DIR] [--seed N]`` executes the CT
 reconstruction experiment described by a flat ``key = value`` config file
 and writes results.csv, per-run trace CSVs, and PGM reconstructions.
-``proxsplit selftest`` runs the fast invariant suite.
 
 Config keys (defaults in parentheses):
 
@@ -182,119 +181,6 @@ def run(config_path, out_override=None, seed_override=None):
     return EXIT_OK
 
 
-def selftest():
-    """Fast invariant suite; prints one pass/fail line per property."""
-    import numpy.linalg as la
-    from . import linops, prox
-    from .product import BlockStack
-    from .solvers import (CompositeProblem, SmoothTerm, SolverConfig,
-                          solve_dfb, solve_pdfb)
-
-    checks = []
-
-    def check(name, fn):
-        try:
-            ok = bool(fn())
-            detail = ""
-        except Exception as exc:
-            ok, detail = False, f" ({type(exc).__name__}: {exc})"
-        checks.append(ok)
-        print(f"{'PASS' if ok else 'FAIL'}  {name}{detail}")
-
-    rng = np.random.default_rng(0)
-
-    def adjoint_ok():
-        ops = [linops.identity(7), linops.first_difference(9),
-               linops.tv_gradient(5, 4),
-               linops.dense(rng.standard_normal((6, 8)))]
-        for op in ops:
-            for _ in range(50):
-                x = rng.standard_normal(op.cols)
-                y = rng.standard_normal(op.rows)
-                lhs = op.apply(x) @ y
-                rhs = x @ op.adjoint_apply(y)
-                if abs(lhs - rhs) > 1e-10 * (1 + abs(lhs)):
-                    return False
-        return True
-    check("adjoint identity", adjoint_ok)
-
-    def moreau_ok():
-        terms = [prox.L1Norm(6), prox.GroupL21(6),
-                 prox.BoxIndicator(6, 0.0, 1.0)]
-        for f in terms:
-            for t in (0.1, 1.0, 10.0):
-                for _ in range(50):
-                    u = rng.standard_normal(6) * 3
-                    resid = la.norm(
-                        f.prox(u, t)
-                        + t * prox.prox_conjugate(f, u / t, 1.0 / t) - u)
-                    if resid > 1e-12 * (1 + la.norm(u)):
-                        return False
-        return True
-    check("Moreau decomposition residual", moreau_ok)
-
-    def tv_ok():
-        for n, m in [(5, 4), (8, 8), (16, 12)]:
-            d = linops.tv_gradient(n, m)
-            for _ in range(20):
-                u = rng.standard_normal(n * m)
-                du = d.apply(u)
-                a = linops.atv(u, n, m)
-                if abs(a - np.abs(du).sum()) > 1e-12 * (1 + a):
-                    return False
-                i = linops.itv(u, n, m)
-                p = n * m
-                l21 = np.hypot(du[:p], du[p:]).sum()
-                if abs(i - l21) > 1e-12 * (1 + i):
-                    return False
-        return True
-    check("TV equivalences", tv_ok)
-
-    def reduction_ok():
-        b = np.array([3.0, -1.0, 2.0])
-        B = linops.first_difference(3)
-        smooth = SmoothTerm(lambda x: 0.5 * ((x - b) @ (x - b)),
-                            lambda x: x - b, 1.0)
-        problem = CompositeProblem(
-            smooth, prox.ZeroTerm(3),
-            BlockStack([(B, prox.L1Norm(3))]))
-        S = problem.stack.norm_sq_bound()
-        gamma, lam = 1.5, 0.5 / S
-        cfg = SolverConfig("dfb", gamma=gamma, lam=lam, max_outer=10,
-                           eps=1e-300)
-        rep = solve_dfb(problem, cfg)
-        # direct single-block fixed-point scheme
-        x = np.zeros(3)
-        y = np.zeros(3)
-        for _ in range(10):
-            v = x - gamma * (x - b) - gamma * B.adjoint_apply(y)
-            y = prox.prox_conjugate(
-                prox.L1Norm(3), y + (lam / gamma) * B.apply(v), lam / gamma)
-            x = x - gamma * (x - b) - gamma * B.adjoint_apply(y)
-        return la.norm(rep.x_final - x) <= 1e-12 * (1 + la.norm(x))
-    check("single-block reduction identity", reduction_ok)
-
-    def agreement_ok():
-        b = np.array([0.0, 0.0, 1.0, 1.0])
-        B = linops.first_difference(4)
-        smooth = SmoothTerm(lambda x: 0.5 * ((x - b) @ (x - b)),
-                            lambda x: x - b, 1.0)
-        problem = CompositeProblem(
-            smooth, prox.ZeroTerm(4),
-            BlockStack([(B, prox.Scaled(prox.L1Norm(4), 0.5))]))
-        cfg1 = SolverConfig("dfb", max_outer=20000, eps=1e-12)
-        cfg2 = SolverConfig("pdfb", max_outer=20000, eps=1e-12)
-        r1 = solve_dfb(problem, cfg1)
-        r2 = solve_pdfb(problem, cfg2)
-        from .solvers import objective
-        o1, o2 = objective(problem, r1.x_final), objective(problem,
-                                                           r2.x_final)
-        return abs(o1 - o2) <= 1e-6 * (1 + abs(o1))
-    check("cross-algorithm agreement (TV denoise)", agreement_ok)
-
-    return EXIT_OK if all(checks) else EXIT_SOLVER
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="proxsplit",
@@ -305,7 +191,6 @@ def main(argv=None):
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override scene.seed")
-    sub.add_parser("selftest", help="run the fast invariant suite")
 
     try:
         args = parser.parse_args(argv)
@@ -317,8 +202,6 @@ def main(argv=None):
         except (ConfigError, FileNotFoundError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    if args.command == "selftest":
-        return selftest()
     parser.print_usage(sys.stderr)
     return EXIT_USAGE
 

@@ -18,7 +18,7 @@ __all__ = ["BlockStack"]
 class BlockStack:
     """Ordered blocks (B_i, h_i) over a common primal space."""
 
-    def __init__(self, blocks, weights=None, norm_tol=1e-9):
+    def __init__(self, blocks, weights=None):
         if not blocks:
             raise DimensionError("BlockStack needs at least one block")
         dims = {op.cols for op, _ in blocks}
@@ -45,7 +45,6 @@ class BlockStack:
         for i, (op, _) in enumerate(self.blocks):
             groups.setdefault(id(op), (op, []))[1].append(i)
         self._groups = tuple(groups.values())
-        self._norm_tol = norm_tol
         self._norm_sq = None
 
     @property
@@ -127,6 +126,6 @@ class BlockStack:
             total = 0.0
             for i, (op, _) in enumerate(self.blocks):
                 w = self.weights[i] if self.weights is not None else 1.0
-                total += w * safe_norm_sq(op, tol=self._norm_tol)
+                total += w * safe_norm_sq(op)
             self._norm_sq = total
         return self._norm_sq

@@ -13,7 +13,6 @@ from .errors import DimensionError, ParameterError
 __all__ = [
     "ProxTerm", "L1Norm", "GroupL21", "BoxIndicator", "ZeroTerm",
     "Translated", "Scaled",
-    "prox_l1", "prox_l21", "project_box",
     "prox_conjugate", "prox_weighted_conjugate",
 ]
 
@@ -25,35 +24,6 @@ def _vec(u):
 def _check_step(t):
     if not t > 0:
         raise ParameterError(f"prox step must be positive, got {t}")
-
-
-def prox_l1(u, t):
-    """Soft threshold each component at level t."""
-    _check_step(t)
-    u = _vec(u)
-    return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
-
-
-def prox_l21(u, t):
-    """Group soft threshold with pairing (u_i, u_{p+i}) for length 2p."""
-    _check_step(t)
-    u = _vec(u)
-    if u.size % 2:
-        raise DimensionError(f"prox_l21 needs even length, got {u.size}")
-    p = u.size // 2
-    a, b = u[:p], u[p:]
-    norms = np.hypot(a, b)
-    scale = np.zeros(p)
-    pos = norms > 0
-    scale[pos] = np.maximum(1.0 - t / norms[pos], 0.0)
-    return np.concatenate([a * scale, b * scale])
-
-
-def project_box(u, lo, hi):
-    """Componentwise clamp onto [lo, hi]; prox of the box indicator."""
-    if lo > hi:
-        raise ParameterError(f"empty box: lo={lo} > hi={hi}")
-    return np.clip(_vec(u), lo, hi)
 
 
 class ProxTerm:
@@ -87,7 +57,10 @@ class L1Norm(ProxTerm):
         return float(np.abs(self._check(x)).sum())
 
     def prox(self, u, t):
-        return prox_l1(self._check(u), t)
+        """Soft threshold each component at level t."""
+        u = self._check(u)
+        _check_step(t)
+        return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
 
 
 class GroupL21(ProxTerm):
@@ -104,7 +77,16 @@ class GroupL21(ProxTerm):
         return float(np.hypot(x[:p], x[p:]).sum())
 
     def prox(self, u, t):
-        return prox_l21(self._check(u), t)
+        """Group soft threshold of each pair (u_i, u_{p+i})."""
+        u = self._check(u)
+        _check_step(t)
+        p = self.dim // 2
+        a, b = u[:p], u[p:]
+        norms = np.hypot(a, b)
+        scale = np.zeros(p)
+        pos = norms > 0
+        scale[pos] = np.maximum(1.0 - t / norms[pos], 0.0)
+        return np.concatenate([a * scale, b * scale])
 
 
 class BoxIndicator(ProxTerm):
@@ -125,7 +107,7 @@ class BoxIndicator(ProxTerm):
 
     def prox(self, u, t):
         _check_step(t)
-        return project_box(self._check(u), self.lo, self.hi)
+        return np.clip(self._check(u), self.lo, self.hi)
 
 
 class ZeroTerm(ProxTerm):

@@ -172,6 +172,10 @@ def validate_params(problem, config):
         if not rho > 0:
             raise ParameterError(f"penalty rho must be positive, got {rho}")
         bound = L + rho * S
+        if not bound > 0:
+            raise ParameterError(
+                f"the linearized-ADMM bound L + rho*S is {bound}: gamma has "
+                f"no finite cap with L={L}, S={S}")
         if gamma is None:
             gamma = 1.9 / bound
         if not 0 < gamma < 2.0 / bound:
@@ -181,6 +185,10 @@ def validate_params(problem, config):
                 f"with L={L}, S={S}")
         return dataclasses.replace(config, gamma=gamma)
 
+    if not S > 0:
+        raise ParameterError(
+            f"stack norm bound S={S}: every B_i is zero, so the dual step "
+            f"has no finite cap")
     if gamma is None:
         gamma = 1.9 / L if L > 0 else 1.0
     if L > 0 and not 0 < gamma < 2.0 / L:
@@ -266,10 +274,16 @@ def _start(v, size):
 def _init_duals(stack, y0):
     if y0 is None:
         return [np.zeros(op.rows) for op, _ in stack.blocks]
-    ys = [np.asarray(y, dtype=float).ravel().copy() for y in y0]
-    if len(ys) != stack.m:
-        raise DimensionError(f"expected {stack.m} dual blocks, got {len(ys)}")
-    return ys
+    return [y.copy() for y in stack._check_ys(y0)]
+
+
+def _validate(problem, config, algorithm):
+    """validate_params for the solver of ``algorithm``, which must be the
+    one the config names."""
+    if config.algorithm != algorithm:
+        raise ParameterError(
+            f"solve_{algorithm} got a config for {config.algorithm!r}")
+    return validate_params(problem, config)
 
 
 def _iterate(cfg, iterates, metric_fn, notes=""):
@@ -301,7 +315,7 @@ def _iterate(cfg, iterates, metric_fn, notes=""):
 
 def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
     """Dual forward-backward splitting (weighted or unweighted stack)."""
-    cfg = validate_params(problem, config)
+    cfg = _validate(problem, config, "dfb")
     stack, g = problem.stack, problem.simple
     gamma, lam = cfg.gamma, cfg.lam
 
@@ -330,7 +344,7 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
 
 def solve_pdfb(problem, config, x0=None, y0=None, xbar0=None, metric_fn=None):
     """Primal-dual forward-backward splitting."""
-    cfg = validate_params(problem, config)
+    cfg = _validate(problem, config, "pdfb")
     stack, g = problem.stack, problem.simple
     gamma, sigma, tau = cfg.gamma, cfg.sigma, cfg.tau
     step_g = tau * gamma / (1.0 + tau)
@@ -368,7 +382,7 @@ def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
         y_i = prox_{h_i / rho_i}(B_i x+ + v_i)
         v_i = v_i + B_i x+ - y_i
     """
-    cfg = validate_params(problem, config)
+    cfg = _validate(problem, config, "admm")
     stack, g = problem.stack, problem.simple
     gamma, rho = cfg.gamma, cfg.rho
 

@@ -224,7 +224,10 @@ def test_op_norm_sq_finds_top_eigenvalue_of_small_first_differences():
 
 
 def test_safe_norm_sq_upper_bounds_dense_eig():
-    for op in [linops.first_difference(50), linops.tv_gradient(7, 9)]:
+    # op_norm_sq ends 3.2e-9 low on first_difference(200) at tol 1e-9;
+    # safe_norm_sq's 1 + 10 tol inflation must still cover it
+    for op in [linops.first_difference(50), linops.tv_gradient(7, 9),
+               linops.first_difference(200)]:
         assert linops.safe_norm_sq(op) >= dense_top_eig(op)
 
 

@@ -154,7 +154,7 @@ def test_stacked_prox_single_block_is_plain_prox():
     stack = BlockStack([(linops.identity(3), prox.L1Norm(3))], weights=[1.0])
     u = np.array([2.0, -0.5, 0.1])
     assert np.allclose(stack.stacked_prox([u], 1.0)[0],
-                       prox.prox_l1(u, 1.0))
+                       prox.L1Norm(3).prox(u, 1.0))
 
 
 def test_stacked_prox_weighted_inflates_step():
@@ -162,7 +162,7 @@ def test_stacked_prox_weighted_inflates_step():
     stack = two_identity_stack(weights=[0.5, 0.5])
     u = np.array([3.0, -1.0, 2.5])
     got = stack.stacked_prox([u, u], 1.0)
-    want = prox.prox_l1(u, 2.0)
+    want = prox.L1Norm(3).prox(u, 2.0)
     assert np.allclose(got[0], want)
     assert np.allclose(got[1], want)
 

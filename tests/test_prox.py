@@ -19,84 +19,87 @@ def sample_terms():
     ]
 
 
-# ----------------------------------------------------------------- prox_l1
+# ------------------------------------------------------------ L1Norm.prox
 
 
 def test_prox_l1_zero_fixed_point():
-    assert np.array_equal(prox.prox_l1([0.0, 0.0], 1.0), [0.0, 0.0])
+    assert np.array_equal(prox.L1Norm(2).prox([0.0, 0.0], 1.0), [0.0, 0.0])
 
 
 def test_prox_l1_soft_threshold():
-    assert np.array_equal(prox.prox_l1([2.0, -0.5], 1.0), [1.0, 0.0])
+    assert np.array_equal(prox.L1Norm(2).prox([2.0, -0.5], 1.0),
+                          [1.0, 0.0])
 
 
 def test_prox_l1_matches_oracle():
-    got = prox.prox_l1([2.0, -0.5], 1.0)
+    got = prox.L1Norm(2).prox([2.0, -0.5], 1.0)
     want = prox_oracle(lambda x: np.abs(x).sum(), [2.0, -0.5], 1.0)
     assert np.allclose(got, want, atol=1e-4)
 
 
 def test_prox_l1_small_step_is_identity_limit():
     u = np.array([1.5, -2.0])
-    assert np.allclose(prox.prox_l1(u, 1e-12), u, atol=1e-11)
+    assert np.allclose(prox.L1Norm(2).prox(u, 1e-12), u, atol=1e-11)
 
 
 def test_prox_l1_rejects_nonpositive_step():
     with pytest.raises(ParameterError):
-        prox.prox_l1([1.0], 0.0)
+        prox.L1Norm(1).prox([1.0], 0.0)
 
 
-# ---------------------------------------------------------------- prox_l21
+# ---------------------------------------------------------- GroupL21.prox
 
 
 def test_prox_l21_zero_fixed_point():
-    assert np.array_equal(prox.prox_l21(np.zeros(4), 1.0), np.zeros(4))
+    assert np.array_equal(prox.GroupL21(4).prox(np.zeros(4), 1.0),
+                          np.zeros(4))
 
 
 def test_prox_l21_pair_scaling():
     # pairs (3, 4) and (0, 0): norms 5 and 0
-    got = prox.prox_l21([3.0, 0.0, 4.0, 0.0], 1.0)
+    got = prox.GroupL21(4).prox([3.0, 0.0, 4.0, 0.0], 1.0)
     assert np.allclose(got, [3.0 * 0.8, 0.0, 4.0 * 0.8, 0.0])
 
 
 def test_prox_l21_matches_oracle_per_pair():
     u = np.array([1.2, -0.7])
-    got = prox.prox_l21(u, 0.5)
+    got = prox.GroupL21(2).prox(u, 0.5)
     want = prox_oracle(lambda x: np.hypot(x[0], x[1]), u, 0.5)
     assert np.allclose(got, want, atol=1e-4)
 
 
 def test_prox_l21_threshold_boundary():
     # pair with norm exactly t collapses to zero
-    got = prox.prox_l21([0.6, 0.8], 1.0)
+    got = prox.GroupL21(2).prox([0.6, 0.8], 1.0)
     assert np.array_equal(got, [0.0, 0.0])
 
 
 def test_prox_l21_rejects_odd_length():
     with pytest.raises(DimensionError):
-        prox.prox_l21([1.0, 2.0, 3.0], 1.0)
+        prox.GroupL21(3)
 
 
-# -------------------------------------------------------------- project_box
+# ------------------------------------------------------ BoxIndicator.prox
 
 
 def test_project_box_nonnegative():
-    assert np.array_equal(prox.project_box([-1.0, 2.0], 0.0, np.inf),
-                          [0.0, 2.0])
+    assert np.array_equal(
+        prox.BoxIndicator(2, 0.0, np.inf).prox([-1.0, 2.0], 1.0), [0.0, 2.0])
 
 
 def test_project_box_fixes_members():
     u = np.array([0.2, 0.9])
-    assert np.array_equal(prox.project_box(u, 0.0, 1.0), u)
+    assert np.array_equal(prox.BoxIndicator(2, 0.0, 1.0).prox(u, 1.0), u)
 
 
 def test_project_box_clamps():
-    assert np.array_equal(prox.project_box([5.0], 0.0, 1.0), [1.0])
+    assert np.array_equal(prox.BoxIndicator(1, 0.0, 1.0).prox([5.0], 1.0),
+                          [1.0])
 
 
 def test_project_box_rejects_empty_box():
     with pytest.raises(ParameterError):
-        prox.project_box([1.0], 2.0, 1.0)
+        prox.BoxIndicator(1, 2.0, 1.0)
 
 
 def test_box_indicator_prox_independent_of_step():

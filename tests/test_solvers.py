@@ -181,6 +181,46 @@ def test_validate_admm_gamma_bound():
                                + 5.0 * problem.stack.norm_sq_bound())
 
 
+SOLVERS = {"dfb": solve_dfb, "pdfb": solve_pdfb, "admm": solve_admm}
+
+
+@pytest.mark.parametrize("solver, algorithm", [
+    (s, a) for s in SOLVERS for a in SOLVERS if s != a])
+def test_solver_rejects_config_for_another_algorithm(solver, algorithm):
+    problem = tv_denoise_problem(FOUR_PIXEL_B)
+    with pytest.raises(ParameterError):
+        SOLVERS[solver](problem, SolverConfig(algorithm, max_outer=100))
+
+
+def zero_operator_problem(lipschitz=1.0):
+    """f = (L/2)||x||^2 and a one-block stack whose only operator is zero,
+    so S = 0."""
+    n = 4
+    smooth = SmoothTerm(lambda x: 0.5 * lipschitz * float(x @ x),
+                        lambda x: lipschitz * x, lipschitz)
+    return CompositeProblem(smooth, prox.ZeroTerm(n),
+                            BlockStack([(linops.zero(n, n), prox.L1Norm(n))]))
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig("dfb"), SolverConfig("dfb", gamma=1.0, lam=0.5),
+    SolverConfig("pdfb"), SolverConfig("pdfb", gamma=1.0, sigma=0.5, tau=1.0),
+])
+def test_validate_rejects_zero_stack_bound_dfb_pdfb(cfg):
+    problem = zero_operator_problem()
+    assert problem.stack.norm_sq_bound() == 0.0
+    with pytest.raises(ParameterError):
+        validate_params(problem, cfg)
+
+
+def test_validate_rejects_zero_admm_bound():
+    # L + rho*S = 0: no smooth curvature and a zero stack
+    problem = zero_operator_problem(lipschitz=0.0)
+    for cfg in (SolverConfig("admm"), SolverConfig("admm", gamma=1.0)):
+        with pytest.raises(ParameterError):
+            validate_params(problem, cfg)
+
+
 # --------------------------------------------------------------- objective
 
 
@@ -514,19 +554,36 @@ def test_admm_reproduces_linearized_admm_scheme(weights):
                    + rho * problem.stack.norm_sq_bound())
     cfg = SolverConfig("admm", gamma=gamma, rho=rho, max_outer=10,
                        eps=1e-300)
-    iterates = capture_iterates(solve_admm, problem, cfg)
+    rng = np.random.default_rng(54)
+    cold = {"x0": None, "y0": None, "v0": None}
+    warm = {"x0": rng.standard_normal(6),
+            "y0": [rng.standard_normal(6) for _ in range(2)],
+            "v0": [rng.standard_normal(6) for _ in range(2)]}
+    for start in (cold, warm):
+        iterates = capture_iterates(solve_admm, problem, cfg, **start)
 
-    x = np.zeros(6)
-    ys, vs = [np.zeros(6), np.zeros(6)], [np.zeros(6), np.zeros(6)]
-    for k in range(10):
-        grad = (x - b) + sum(r * B.adjoint_apply(B.apply(x) - y + v)
-                             for r, y, v in zip(rhos, ys, vs))
-        x = g.prox(x - gamma * grad, gamma)
-        bx = B.apply(x)
-        ys = [h.prox(bx + v, 1.0 / r) for h, r, v in zip(terms, rhos, vs)]
-        vs = [v + bx - y for v, y in zip(vs, ys)]
-        err = np.linalg.norm(iterates[k + 1] - x)
-        assert err <= 1e-12 * (1 + np.linalg.norm(x))
+        x = np.zeros(6) if start["x0"] is None else start["x0"].copy()
+        ys = start["y0"] or [np.zeros(6), np.zeros(6)]
+        vs = start["v0"] or [np.zeros(6), np.zeros(6)]
+        for k in range(10):
+            grad = (x - b) + sum(r * B.adjoint_apply(B.apply(x) - y + v)
+                                 for r, y, v in zip(rhos, ys, vs))
+            x = g.prox(x - gamma * grad, gamma)
+            bx = B.apply(x)
+            ys = [h.prox(bx + v, 1.0 / r)
+                  for h, r, v in zip(terms, rhos, vs)]
+            vs = [v + bx - y for v, y in zip(vs, ys)]
+            err = np.linalg.norm(iterates[k + 1] - x)
+            assert err <= 1e-12 * (1 + np.linalg.norm(x))
+
+
+def test_admm_rejects_wrong_length_starting_duals():
+    problem, *_ = shared_operator_problem()
+    cfg = SolverConfig("admm", max_outer=10)
+    with pytest.raises(DimensionError):
+        solve_admm(problem, cfg, v0=[np.zeros(6), np.zeros(5)])
+    with pytest.raises(DimensionError):
+        solve_admm(problem, cfg, v0=[np.zeros(6)])
 
 
 def per_iteration_counts(solve, problem, cfg, ops):
