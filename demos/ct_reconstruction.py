@@ -23,7 +23,7 @@ def main():
     configs = [
         SolverConfig("dfb", max_outer=40_000, eps=eps),
         SolverConfig("pdfb", max_outer=40_000, eps=eps),
-        SolverConfig("admm", rho=5.0, max_outer=40_000, eps=eps),
+        SolverConfig("admm", max_outer=40_000, eps=eps),
     ]
     rows = run_experiment(scene, configs)
 

@@ -15,8 +15,10 @@ Config keys (defaults in parentheses):
     <algo>.gamma, dfb.lambda, dfb.inner_iters (1), dfb.mode (strict-weak),
     pdfb.sigma, pdfb.tau, pdfb.inner_iters (1), admm.rho (1.0)
 
-Any other key is a usage error.  Exit codes: 0 ok, 1 solver failure,
-2 usage error.
+Any other key, and a value no problem admits (a step or rho <= 0,
+run.max_outer or inner_iters < 1), is a usage error; a step outside its
+convergence bound for the scene is a solver failure.  Exit codes: 0 ok,
+1 solver failure, 2 usage error.
 """
 
 import argparse
@@ -118,8 +120,11 @@ def build_runspec(cfg, out_override=None, seed_override=None):
                 name, conv = SOLVER_KEYS[k]
                 solver_args[name] = _get(cfg, f"{algo}.{k}", conv, None)
         for eps in eps_list:
-            configs.append(SolverConfig(algo, max_outer=max_outer, eps=eps,
-                                        **solver_args))
+            try:
+                configs.append(SolverConfig(algo, max_outer=max_outer,
+                                            eps=eps, **solver_args))
+            except ParameterError as exc:
+                raise ConfigError(f"bad {algo} settings: {exc}")
     return scene, configs, out_dir
 
 

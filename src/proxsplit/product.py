@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linops import safe_norm_sq
-from .prox import prox_weighted_conjugate
+from .prox import prox_conjugate, prox_weighted_conjugate
 
 __all__ = ["BlockStack"]
 
@@ -110,11 +110,11 @@ class BlockStack:
     def stacked_conjugate_prox(self, ys, t):
         """Blockwise conjugate prox under the stack's inner product."""
         ys = self._check_ys(ys)
-        out = []
-        for i, ((_, term), y) in enumerate(zip(self.blocks, ys)):
-            w = self.weights[i] if self.weights is not None else 1.0
-            out.append(prox_weighted_conjugate(term, w, y, t))
-        return out
+        if self.weights is None:
+            return [prox_conjugate(term, y, t)
+                    for (_, term), y in zip(self.blocks, ys)]
+        return [prox_weighted_conjugate(term, w, y, t)
+                for (_, term), w, y in zip(self.blocks, self.weights, ys)]
 
     def norm_sq_bound(self):
         """Safety-factored bound on ||(B_1, ..., B_m)||^2.

@@ -60,7 +60,7 @@ class L1Norm(ProxTerm):
         """Soft threshold each component at level t."""
         u = self._check(u)
         _check_step(t)
-        return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
+        return u - np.clip(u, -t, t)
 
 
 class GroupL21(ProxTerm):

@@ -133,6 +133,27 @@ class SolverConfig:
     eps: float = 1e-8
     convergence_mode: str = "strict-weak"
 
+    def __post_init__(self):
+        """Reject values no problem admits; validate_params checks bounds."""
+        if self.algorithm not in ALGORITHMS:
+            raise ParameterError(
+                f"unknown algorithm {self.algorithm!r}; valid: {ALGORITHMS}")
+        if self.convergence_mode not in MODES:
+            raise ParameterError(
+                f"unknown convergence_mode {self.convergence_mode!r}; "
+                f"valid: {MODES}")
+        if not self.eps > 0:
+            raise ParameterError(f"eps must be positive, got {self.eps}")
+        if self.inner_iters < 1 or self.max_outer < 1:
+            raise ParameterError("inner_iters and max_outer must be >= 1")
+        if not self.rho > 0:
+            raise ParameterError(
+                f"penalty rho must be positive, got {self.rho}")
+        for name in ("gamma", "lam", "sigma", "tau"):
+            step = getattr(self, name)
+            if step is not None and not step > 0:
+                raise ParameterError(f"{name} must be positive, got {step}")
+
 
 @dataclass
 class SolveReport:
@@ -149,40 +170,33 @@ def validate_params(problem, config):
     """Check step sizes against the convergence bounds; fill defaults.
 
     Returns a resolved copy of ``config``.  Raises ParameterError naming
-    the violated bound.
-    """
-    if config.algorithm not in ALGORITHMS:
-        raise ParameterError(
-            f"unknown algorithm {config.algorithm!r}; valid: {ALGORITHMS}")
-    if config.convergence_mode not in MODES:
-        raise ParameterError(
-            f"unknown convergence_mode {config.convergence_mode!r}; "
-            f"valid: {MODES}")
-    if not config.eps > 0:
-        raise ParameterError(f"eps must be positive, got {config.eps}")
-    if config.inner_iters < 1 or config.max_outer < 1:
-        raise ParameterError("inner_iters and max_outer must be >= 1")
+    the violated bound.  Checks that need no problem (names, eps, iteration
+    counts, signs) are made when the SolverConfig is built.
 
+    Linearized ADMM with duals u_i = rho_i v_i is the Condat-Vu iteration
+    (Condat 2013, Algorithm 3.2; Vu 2013) with primal step gamma and dual
+    steps rho_i = rho * w_i, which converges when
+    gamma (L/2 + sum_i rho_i ||B_i||^2) < 1, i.e. gamma < 2/(L + 2 rho S);
+    its default is 1.9/(L + 2 rho S).
+    """
     L = problem.smooth.lipschitz
     S = problem.stack.norm_sq_bound()
     gamma = config.gamma
 
     if config.algorithm == "admm":
         rho = config.rho
-        if not rho > 0:
-            raise ParameterError(f"penalty rho must be positive, got {rho}")
-        bound = L + rho * S
+        bound = L + 2.0 * rho * S
         if not bound > 0:
             raise ParameterError(
-                f"the linearized-ADMM bound L + rho*S is {bound}: gamma has "
-                f"no finite cap with L={L}, S={S}")
+                f"the linearized-ADMM bound L + 2*rho*S is {bound}: gamma "
+                f"has no finite cap with L={L}, S={S}")
         if gamma is None:
             gamma = 1.9 / bound
-        if not 0 < gamma < 2.0 / bound:
+        if not gamma < 2.0 / bound:
             raise ParameterError(
-                f"gamma={gamma} violates the linearized-ADMM bound "
-                f"gamma in (0, 2/(L + rho*S)) = (0, {2.0 / bound}) "
-                f"with L={L}, S={S}")
+                f"gamma={gamma} violates the Condat-Vu bound "
+                f"gamma in (0, 2/(L + 2*rho*S)) = (0, {2.0 / bound}) "
+                f"with L={L}, S={S}, rho={rho}")
         return dataclasses.replace(config, gamma=gamma)
 
     if not S > 0:
@@ -191,19 +205,17 @@ def validate_params(problem, config):
             f"has no finite cap")
     if gamma is None:
         gamma = 1.9 / L if L > 0 else 1.0
-    if L > 0 and not 0 < gamma < 2.0 / L:
+    if L > 0 and not gamma < 2.0 / L:
         raise ParameterError(
             f"gamma={gamma} violates the smooth-step bound "
             f"gamma in (0, 2/L) with L={L}")
-    if L == 0 and not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
 
     if config.algorithm == "dfb":
         lam = config.lam
         if lam is None:
             lam = 0.9 / S
         cap = 2.0 / S if config.convergence_mode == "relaxed-finite" else 1.0 / S
-        if not 0 < lam < cap:
+        if not lam < cap:
             raise ParameterError(
                 f"lambda={lam} violates the dual-step bound "
                 f"lambda in (0, {cap}) for S={S} "
@@ -215,9 +227,6 @@ def validate_params(problem, config):
     sigma = config.sigma
     if sigma is None:
         sigma = 0.9 / (tau * S)
-    if not tau > 0 or not sigma > 0:
-        raise ParameterError(
-            f"sigma and tau must be positive, got sigma={sigma}, tau={tau}")
     if not sigma * tau < 1.0 / S:
         raise ParameterError(
             f"sigma*tau={sigma * tau} violates the strict product bound "

@@ -161,6 +161,18 @@ def test_run_invalid_scene_is_usage_error(tmp_path, capsys):
     assert "lambda1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo, line", [
+    ("dfb", "run.max_outer = 0"), ("dfb", "dfb.lambda = -1"),
+    ("pdfb", "pdfb.inner_iters = 0"), ("admm", "admm.rho = 0")])
+def test_run_bad_solver_value_is_usage_error(tmp_path, capsys, algo, line):
+    text = BASE_CONFIG.replace("run.solvers = dfb", f"run.solvers = {algo}")
+    cfg = write_config(tmp_path, text + line + "\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) \
+        == cli.EXIT_USAGE
+    assert algo in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_run_solver_failure_exits_nonzero(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG + "dfb.gamma = 1e9\n")
     out = tmp_path / "out"

@@ -42,6 +42,19 @@ def test_prox_l1_small_step_is_identity_limit():
     assert np.allclose(prox.L1Norm(2).prox(u, 1e-12), u, atol=1e-11)
 
 
+def test_prox_l1_matches_sign_max_formula():
+    # u - clip(u, -t, t) equals sign(u) max(|u| - t, 0) bit for bit (up to
+    # the sign of zero), including at |u| = t, 0, +-inf and NaN
+    rng = np.random.default_rng(11)
+    t = 0.3
+    u = np.concatenate([rng.standard_normal(2000) * rng.choice(
+        [1e-3, 1.0, 1e3], 2000), [t, -t, 0.0, -0.0, np.inf, -np.inf, np.nan]])
+    for step in (t, 1.7, 1e-9):
+        want = np.sign(u) * np.maximum(np.abs(u) - step, 0.0)
+        got = prox.L1Norm(u.size).prox(u, step)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_prox_l1_rejects_nonpositive_step():
     with pytest.raises(ParameterError):
         prox.L1Norm(1).prox([1.0], 0.0)

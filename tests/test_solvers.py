@@ -162,6 +162,7 @@ def test_validate_rejects_unknown_algorithm_and_mode():
 
 
 def test_validate_admm_gamma_bound():
+    # Condat-Vu: gamma (L/2 + rho*S) < 1, i.e. gamma < 2/(L + 2 rho S)
     n = 4
     A = linops.identity(n)
     D = linops.first_difference(n)
@@ -169,16 +170,22 @@ def test_validate_admm_gamma_bound():
         quadratic_data_term(A, np.zeros(n)), prox.ZeroTerm(n),
         BlockStack([(D, prox.Scaled(prox.L1Norm(n), 0.4)),
                     (D, prox.Scaled(prox.L1Norm(n), 0.5))]))
-    bound = (linops.safe_norm_sq(A) + 2 * linops.safe_norm_sq(D))
-    validate_params(problem, SolverConfig("admm", gamma=1.9 / bound))
+    L = linops.safe_norm_sq(A)
+    S = problem.stack.norm_sq_bound()
+    assert S == 2 * linops.safe_norm_sq(D)
+    cap = 2.0 / (L + 2.0 * S)
+    validate_params(problem, SolverConfig("admm", gamma=0.999 * cap))
     with pytest.raises(ParameterError):
-        validate_params(problem, SolverConfig("admm", gamma=2.0 / bound))
+        validate_params(problem, SolverConfig("admm", gamma=cap))
+    # 1.9/(L + rho S) lies above the cap
+    with pytest.raises(ParameterError):
+        validate_params(problem, SolverConfig("admm", gamma=1.9 / (L + S)))
     with pytest.raises(ParameterError):
         validate_params(problem, SolverConfig("admm", rho=-1.0))
     # the penalty scales the stack's share of the bound
-    cfg = validate_params(problem, SolverConfig("admm", rho=5.0))
-    assert cfg.gamma == 1.9 / (linops.safe_norm_sq(A)
-                               + 5.0 * problem.stack.norm_sq_bound())
+    for rho in (1.0, 5.0):
+        cfg = validate_params(problem, SolverConfig("admm", rho=rho))
+        assert cfg.gamma == 1.9 / (L + 2 * rho * S)
 
 
 SOLVERS = {"dfb": solve_dfb, "pdfb": solve_pdfb, "admm": solve_admm}
@@ -214,7 +221,7 @@ def test_validate_rejects_zero_stack_bound_dfb_pdfb(cfg):
 
 
 def test_validate_rejects_zero_admm_bound():
-    # L + rho*S = 0: no smooth curvature and a zero stack
+    # L + 2 rho S = 0: no smooth curvature and a zero stack
     problem = zero_operator_problem(lipschitz=0.0)
     for cfg in (SolverConfig("admm"), SolverConfig("admm", gamma=1.0)):
         with pytest.raises(ParameterError):
