@@ -3,9 +3,8 @@ min f(x) + g(x) + sum_i h_i(B_i x), with a CT reconstruction harness."""
 
 from .errors import (DimensionError, DivergenceError, ParameterError,
                      ProxsplitError)
-from .linops import (LinearOperator, atv, compose, dense, first_difference,
-                     identity, itv, op_norm_sq, safe_norm_sq, scaled, sparse,
-                     tv_gradient, zero)
+from .linops import (LinearOperator, atv, dense, first_difference, identity,
+                     itv, op_norm_sq, safe_norm_sq, sparse, tv_gradient, zero)
 from .prox import (BoxIndicator, GroupL21, L1Norm, ProxTerm, Scaled,
                    Translated, ZeroTerm, prox_conjugate,
                    prox_weighted_conjugate)
@@ -14,8 +13,7 @@ from .solvers import (CompositeProblem, PiccsProblem, SmoothTerm,
                       SolverConfig, SolveReport, objective,
                       quadratic_data_term, solve_admm, solve_dfb,
                       solve_pdfb, validate_params)
-from .ct import (PiccsInstance, Scene, add_gaussian_noise, assemble_piccs,
-                 build_instance, build_projector, make_prior, nmsd,
-                 run_experiment, shepp_logan, snr)
+from .ct import (PiccsInstance, Scene, add_gaussian_noise, build_instance,
+                 build_projector, nmsd, run_experiment, shepp_logan, snr)
 
 __version__ = "0.1.0"

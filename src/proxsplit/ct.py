@@ -23,8 +23,7 @@ from .solvers import (CompositeProblem, PiccsProblem, quadratic_data_term,
 
 __all__ = [
     "Scene", "shepp_logan", "build_projector", "add_gaussian_noise",
-    "make_prior", "snr", "nmsd", "PiccsInstance", "build_instance",
-    "assemble_piccs", "run_experiment",
+    "snr", "nmsd", "PiccsInstance", "build_instance", "run_experiment",
 ]
 
 # Stream tags for per-purpose substreams split from the scene seed.
@@ -74,6 +73,13 @@ class Scene:
             raise ParameterError(
                 f"lambda1 and lambda2 must be >= 0, got {self.lambda1}, "
                 f"{self.lambda2}")
+        # A source on or inside the [-1, 1]^2 square would also count the
+        # pixels behind it; at 0 the centre ray has no direction.
+        if not (math.isfinite(self.source_radius)
+                and self.source_radius > math.sqrt(2.0)):
+            raise ParameterError(
+                f"source_radius must be finite and > sqrt(2), got "
+                f"{self.source_radius}")
 
 
 def shepp_logan(n):
@@ -101,37 +107,53 @@ def shepp_logan(n):
     return img.ravel(order="F")
 
 
-def _ray_row(n, p0, d):
-    """Siddon traversal: pixel indices and intersection lengths of the ray
-    p0 + t*d (t in R) with the n x n grid on [-1, 1]^2."""
-    tmin, tmax = -np.inf, np.inf
-    for axis in range(2):
-        if d[axis] != 0.0:
-            t1 = (-1.0 - p0[axis]) / d[axis]
-            t2 = (1.0 - p0[axis]) / d[axis]
-            tmin = max(tmin, min(t1, t2))
-            tmax = min(tmax, max(t1, t2))
-        elif not -1.0 <= p0[axis] <= 1.0:
-            return np.empty(0, dtype=int), np.empty(0)
-    if not tmin < tmax:
-        return np.empty(0, dtype=int), np.empty(0)
+def _hypot(x, y):
+    """math.hypot per entry (np.hypot may round differently)."""
+    return np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
+
+
+def _view_rows(n, p0, d):
+    """Siddon traversal of one view's rays p0[:, r] + t*d[:, r] (t in R)
+    through the n x n grid on [-1, 1]^2.
+
+    Returns each ray's number of crossed pixels, then the column-major
+    pixel indices and intersection lengths of all rays, ray after ray.
+    """
+    rays = p0.shape[1]
     planes = np.linspace(-1.0, 1.0, n + 1)
-    ts = [np.array([tmin, tmax])]
-    for axis in range(2):
-        if d[axis] != 0.0:
-            cand = (planes - p0[axis]) / d[axis]
-            ts.append(cand[(cand > tmin) & (cand < tmax)])
-    ts = np.unique(np.concatenate(ts))
-    seg = np.diff(ts)
-    speed = math.hypot(d[0], d[1])
-    mid_t = (ts[:-1] + ts[1:]) / 2.0
-    mx = p0[0] + mid_t * d[0]
-    my = p0[1] + mid_t * d[1]
+    tmin, tmax = np.full(rays, -np.inf), np.full(rays, np.inf)
+    hit = np.ones(rays, dtype=bool)
+    crossings = []
+    for p, v in zip(p0, d):
+        moving = v != 0.0
+        # a ray parallel to this axis's grid lines must lie between them
+        hit &= moving | ((-1.0 <= p) & (p <= 1.0))
+        t1 = np.divide(-1.0 - p, v, out=np.full(rays, -np.inf), where=moving)
+        t2 = np.divide(1.0 - p, v, out=np.full(rays, np.inf), where=moving)
+        tmin = np.maximum(tmin, np.minimum(t1, t2))
+        tmax = np.minimum(tmax, np.maximum(t1, t2))
+        crossings.append(np.divide(
+            planes - p[:, None], v[:, None],
+            out=np.full((rays, n + 1), np.inf), where=moving[:, None]))
+    hit &= tmin < tmax
+    tmin = np.where(hit, tmin, 0.0)[:, None]
+    tmax = np.where(hit, tmax, 0.0)[:, None]
+    # Crossings outside (tmin, tmax) become copies of tmax, so after the
+    # sort every zero-length step is a duplicate np.unique would drop.
+    ts = [tmin, tmax] + [np.where((t > tmin) & (t < tmax), t, tmax)
+                         for t in crossings]
+    ts = np.sort(np.concatenate(ts, axis=1), axis=1)
+    seg = ts[:, 1:] - ts[:, :-1]
+    keep = seg > 0
+    counts = keep.sum(axis=1)
+    ray = np.repeat(np.arange(rays), counts)
+    mid_t = (ts[:, :-1][keep] + ts[:, 1:][keep]) / 2.0
+    mx = p0[0][ray] + mid_t * d[0][ray]
+    my = p0[1][ray] + mid_t * d[1][ray]
     cols = np.clip(((mx + 1.0) / 2.0 * n).astype(int), 0, n - 1)
     rows = np.clip(((1.0 - my) / 2.0 * n).astype(int), 0, n - 1)
-    keep = seg > 0
-    idx = rows[keep] + cols[keep] * n       # column-major pixel index
-    return idx, seg[keep] * speed
+    speed = _hypot(d[0], d[1])
+    return counts, rows + cols * n, seg[keep] * speed[ray]
 
 
 def build_projector(scene):
@@ -142,6 +164,10 @@ def build_projector(scene):
     n_rays detector cell centers on the line through the origin
     perpendicular to the source direction, spanning [-1, 1].  Parallel
     geometry: views over [0, 180), rays offset across [-1, 1].
+
+    Siddon's exact traversal runs as one array pass over each view's rays,
+    with the same elementwise arithmetic as a ray-by-ray loop, so the CSR
+    arrays match the per-ray form bit for bit.
     """
     n = scene.n
     offsets = -1.0 + (np.arange(scene.n_rays) + 0.5) * 2.0 / scene.n_rays
@@ -149,25 +175,25 @@ def build_projector(scene):
         angles = np.arange(scene.n_views) * 2.0 * math.pi / scene.n_views
     else:
         angles = np.arange(scene.n_views) * math.pi / scene.n_views
-    data, indices, indptr = [], [], [0]
+    counts, indices, data = [], [], []
     for theta in angles:
-        axis = np.array([math.cos(theta), math.sin(theta)])
-        perp = np.array([-math.sin(theta), math.cos(theta)])
-        for t in offsets:
-            if scene.geometry == "fan":
-                p0 = scene.source_radius * axis
-                d = t * perp - p0
-                nd = math.hypot(d[0], d[1])
-                d = d / nd
-            else:
-                p0 = t * perp
-                d = axis
-            idx, lengths = _ray_row(n, p0, d)
-            indices.extend(idx.tolist())
-            data.extend(lengths.tolist())
-            indptr.append(len(data))
+        c, s = math.cos(theta), math.sin(theta)
+        # t * perp for each detector offset t
+        perp = np.array([offsets * -s, offsets * c])
+        if scene.geometry == "fan":
+            r = scene.source_radius
+            p0 = np.repeat([[r * c], [r * s]], offsets.size, axis=1)
+            d = perp - p0
+            d /= _hypot(d[0], d[1])
+        else:
+            p0, d = perp, np.repeat([[c], [s]], offsets.size, axis=1)
+        k, idx, lengths = _view_rows(n, p0, d)
+        counts.append(k)
+        indices.append(idx)
+        data.append(lengths)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     mat = sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=int), np.array(indptr)),
+        (np.concatenate(data), np.concatenate(indices), indptr),
         shape=(scene.n_views * scene.n_rays, n * n))
     return LinearOperator(mat)
 
@@ -180,11 +206,6 @@ def add_gaussian_noise(v, variance, seed):
     if variance == 0:
         return v.copy()
     return v + math.sqrt(variance) * Stream(seed).gaussians(v.size)
-
-
-def make_prior(phantom, variance, seed):
-    """Prior image: phantom plus seeded Gaussian noise, no clamping."""
-    return add_gaussian_noise(phantom, variance, seed)
 
 
 def _check_pair(x, x_r):
@@ -260,15 +281,10 @@ def build_instance(scene):
     A = build_projector(scene)
     b = add_gaussian_noise(A.apply(phantom), scene.noise_var_b,
                            substream_seed(scene.seed, MEASUREMENT_NOISE_TAG))
-    x_p = make_prior(phantom, scene.noise_var_prior,
-                     substream_seed(scene.seed, PRIOR_NOISE_TAG))
+    x_p = add_gaussian_noise(phantom, scene.noise_var_prior,
+                             substream_seed(scene.seed, PRIOR_NOISE_TAG))
     D = tv_gradient(scene.n, scene.n)
     return PiccsInstance(scene, A, b, phantom, x_p, D)
-
-
-def assemble_piccs(scene):
-    """Convenience: simulate the scene and return the CompositeProblem."""
-    return build_instance(scene).composite()
 
 
 def run_experiment(scene, configs, instance=None):

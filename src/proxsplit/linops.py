@@ -15,8 +15,8 @@ from .rng import Stream
 
 __all__ = [
     "LinearOperator", "identity", "dense", "sparse", "zero",
-    "first_difference", "tv_gradient", "scaled", "compose",
-    "op_norm_sq", "safe_norm_sq", "atv", "itv",
+    "first_difference", "tv_gradient", "op_norm_sq", "safe_norm_sq",
+    "atv", "itv",
 ]
 
 
@@ -125,18 +125,6 @@ def tv_gradient(n, m):
                   for d in (n, m))
     return LinearOperator(sp.vstack([top, bottom], format="csr"),
                           norm_sq=norm_sq)
-
-
-def scaled(op, s):
-    return LinearOperator(op.matrix * float(s))
-
-
-def compose(a, b):
-    """The map x -> a(b(x))."""
-    if b.rows != a.cols:
-        raise DimensionError(
-            f"cannot compose {a.rows}x{a.cols} after {b.rows}x{b.cols}")
-    return LinearOperator(a.matrix @ b.matrix)
 
 
 # Seed of the power-iteration start vector, fixed so that every estimate

@@ -5,11 +5,14 @@ oracle minimizes 0.5||x-u||^2 + t f(x) by coarse grid search over
 [-10, 10]^dim followed by local refinement, and the problem oracle does the
 same for full composite objectives in dimension <= 4.  ``CountingOperator``
 counts the products a solver or a stack makes with an operator.
+``siddon_projector_oracle`` builds the CT system matrix one ray at a time.
 """
 
 import itertools
+import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from proxsplit import linops
@@ -109,3 +112,67 @@ def golden_min(fn, lo, hi, tol=1e-12):
             d = a + invphi * (b - a)
             fd = fn(d)
     return (a + b) / 2.0
+
+
+def _ray_row(n, p0, d):
+    """Siddon traversal: pixel indices and intersection lengths of the ray
+    p0 + t*d (t in R) with the n x n grid on [-1, 1]^2."""
+    tmin, tmax = -np.inf, np.inf
+    for axis in range(2):
+        if d[axis] != 0.0:
+            t1 = (-1.0 - p0[axis]) / d[axis]
+            t2 = (1.0 - p0[axis]) / d[axis]
+            tmin = max(tmin, min(t1, t2))
+            tmax = min(tmax, max(t1, t2))
+        elif not -1.0 <= p0[axis] <= 1.0:
+            return np.empty(0, dtype=int), np.empty(0)
+    if not tmin < tmax:
+        return np.empty(0, dtype=int), np.empty(0)
+    planes = np.linspace(-1.0, 1.0, n + 1)
+    ts = [np.array([tmin, tmax])]
+    for axis in range(2):
+        if d[axis] != 0.0:
+            cand = (planes - p0[axis]) / d[axis]
+            ts.append(cand[(cand > tmin) & (cand < tmax)])
+    ts = np.unique(np.concatenate(ts))
+    seg = np.diff(ts)
+    speed = math.hypot(d[0], d[1])
+    mid_t = (ts[:-1] + ts[1:]) / 2.0
+    mx = p0[0] + mid_t * d[0]
+    my = p0[1] + mid_t * d[1]
+    cols = np.clip(((mx + 1.0) / 2.0 * n).astype(int), 0, n - 1)
+    rows = np.clip(((1.0 - my) / 2.0 * n).astype(int), 0, n - 1)
+    keep = seg > 0
+    idx = rows[keep] + cols[keep] * n       # column-major pixel index
+    return idx, seg[keep] * speed
+
+
+def siddon_projector_oracle(scene):
+    """The CT system matrix of ``scene`` (a ``scipy.sparse`` CSR matrix),
+    built by Siddon's traversal one ray at a time."""
+    n = scene.n
+    offsets = -1.0 + (np.arange(scene.n_rays) + 0.5) * 2.0 / scene.n_rays
+    if scene.geometry == "fan":
+        angles = np.arange(scene.n_views) * 2.0 * math.pi / scene.n_views
+    else:
+        angles = np.arange(scene.n_views) * math.pi / scene.n_views
+    data, indices, indptr = [], [], [0]
+    for theta in angles:
+        axis = np.array([math.cos(theta), math.sin(theta)])
+        perp = np.array([-math.sin(theta), math.cos(theta)])
+        for t in offsets:
+            if scene.geometry == "fan":
+                p0 = scene.source_radius * axis
+                d = t * perp - p0
+                nd = math.hypot(d[0], d[1])
+                d = d / nd
+            else:
+                p0 = t * perp
+                d = axis
+            idx, lengths = _ray_row(n, p0, d)
+            indices.extend(idx.tolist())
+            data.extend(lengths.tolist())
+            indptr.append(len(data))
+    return sp.csr_matrix(
+        (np.array(data), np.array(indices, dtype=int), np.array(indptr)),
+        shape=(scene.n_views * scene.n_rays, n * n))

@@ -83,6 +83,25 @@ def test_build_runspec_per_algorithm_overrides():
     assert configs[1].convergence_mode == "relaxed-finite"
 
 
+def test_inner_iters_reach_solver_config_and_change_the_run(tmp_path):
+    keys = {"run.solvers": "dfb,pdfb", "dfb.inner_iters": "3",
+            "pdfb.inner_iters": "3"}
+    _, configs, _ = cli.build_runspec(keys)
+    assert [(c.algorithm, c.inner_iters) for c in configs] == [
+        ("dfb", 3), ("pdfb", 3)]
+    base = BASE_CONFIG.replace("run.solvers = dfb", "run.solvers = dfb,pdfb")
+    traces = {}
+    for inner in (1, 3):
+        cfg = write_config(tmp_path, base + f"dfb.inner_iters = {inner}\n"
+                           f"pdfb.inner_iters = {inner}\n", f"{inner}.cfg")
+        out = tmp_path / str(inner)
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        traces[inner] = [(out / f"trace_{algo}_eps0.001.csv").read_bytes()
+                         for algo in ("dfb", "pdfb")]
+    for one, three in zip(traces[1], traces[3]):
+        assert one != three
+
+
 def test_build_runspec_rejects_unknown_keys():
     # misspelt, renamed, or read by no solver
     for key in ("dfb.lamda", "scene.nn", "admm.rho1", "run.seed",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from proxsplit.errors import ParameterError
 from proxsplit.rng import substream_seed
 from proxsplit.solvers import (SolverConfig, objective, solve_admm,
                                solve_dfb)
+
+from oracles import siddon_projector_oracle
 
 
 def small_scene(**kw):
@@ -80,13 +83,39 @@ def test_projector_shape_and_sparsity():
     assert density < 0.2
 
 
+@pytest.mark.parametrize("scene", [
+    ct.Scene(),
+    # the ct-fine benchmark scene
+    ct.Scene(n=96, n_views=34, n_rays=136, geometry="parallel"),
+    # odd n_rays put a ray through the centre
+    ct.Scene(n=8, n_views=6, n_rays=7),
+    ct.Scene(n=17, n_views=9, n_rays=15),
+    # theta = 0 gives d[1] == 0, with rays along the grid lines
+    ct.Scene(n=16, n_views=3, n_rays=8, geometry="parallel"),
+    # theta = pi/2, where cos is 6e-17 and not 0
+    ct.Scene(n=12, n_views=2, n_rays=10, geometry="parallel"),
+], ids=["desk", "fine", "fan-8", "fan-17", "grid-lines", "two-views"])
+def test_projector_matches_per_ray_oracle_bit_for_bit(scene):
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ct.build_projector(scene).matrix
+    want = siddon_projector_oracle(scene)
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+
+
 def test_scene_validates_geometry():
     with pytest.raises(ParameterError):
         ct.Scene(geometry="cone")
     with pytest.raises(ParameterError):
         ct.Scene(noise_var_b=-1.0)
     for bad in (dict(lambda1=-0.1), dict(lambda2=-1.0),
-                dict(lambda1=float("nan")), dict(n=7)):
+                dict(lambda1=float("nan")), dict(n=7),
+                dict(source_radius=0.0), dict(source_radius=1.0),
+                dict(source_radius=-2.0), dict(source_radius=float("nan"))):
         with pytest.raises(ParameterError):
             ct.Scene(**bad)
 
@@ -117,14 +146,15 @@ def test_prior_error_energy_matches_variance():
     n = 32
     phantom = ct.shepp_logan(n)
     var = 0.01
-    energies = [np.sum((ct.make_prior(phantom, var, seed) - phantom) ** 2)
-                for seed in range(30)]
+    energies = [
+        np.sum((ct.add_gaussian_noise(phantom, var, seed) - phantom) ** 2)
+        for seed in range(30)]
     assert abs(np.mean(energies) / (n * n * var) - 1.0) < 0.05
 
 
 def test_prior_variance_zero_returns_phantom():
     phantom = ct.shepp_logan(16)
-    assert np.array_equal(ct.make_prior(phantom, 0.0, 5), phantom)
+    assert np.array_equal(ct.add_gaussian_noise(phantom, 0.0, 5), phantom)
 
 
 # ------------------------------------------------------------- snr / nmsd
@@ -164,7 +194,7 @@ def test_snr_nmsd_consistency():
             -20.0 * math.log10(ct.nmsd(x, x_r)), abs=1e-10)
 
 
-# ---------------------------------------------------------- assemble_piccs
+# ---------------------------------------------------------------- composite
 
 
 def test_objective_zero_at_phantom_without_noise_or_regularization():
@@ -177,7 +207,7 @@ def test_objective_zero_at_phantom_without_noise_or_regularization():
 
 def test_data_term_gradient_matches_finite_differences():
     scene = small_scene()
-    problem = ct.assemble_piccs(scene)
+    problem = ct.build_instance(scene).composite()
     rng = np.random.default_rng(67)
     x = rng.uniform(0.0, 1.0, scene.n * scene.n)
     g = problem.smooth.gradient(x)
@@ -222,7 +252,7 @@ def test_instance_uses_named_substreams():
     want_b = ct.add_gaussian_noise(
         clean, scene.noise_var_b,
         substream_seed(scene.seed, ct.MEASUREMENT_NOISE_TAG))
-    want_xp = ct.make_prior(
+    want_xp = ct.add_gaussian_noise(
         inst.phantom, scene.noise_var_prior,
         substream_seed(scene.seed, ct.PRIOR_NOISE_TAG))
     assert np.array_equal(inst.b, want_b)

@@ -68,8 +68,9 @@ def test_adjoint_identity_random_pairs():
         linops.tv_gradient(6, 5),
         linops.dense(rng.standard_normal((6, 8))),
         linops.sparse(rng.standard_normal((5, 7))),
-        linops.scaled(linops.first_difference(6), -2.5),
-        linops.compose(linops.first_difference(6), linops.identity(6)),
+        linops.sparse(linops.first_difference(6).matrix * -2.5),
+        linops.sparse(linops.first_difference(6).matrix
+                      @ linops.identity(6).matrix),
         linops.zero(4, 6),
     ]
     for op in ops:
