@@ -6,8 +6,7 @@ from .errors import (DimensionError, DivergenceError, ParameterError,
 from .linops import (LinearOperator, atv, dense, first_difference, identity,
                      itv, op_norm_sq, safe_norm_sq, sparse, tv_gradient, zero)
 from .prox import (BoxIndicator, GroupL21, L1Norm, ProxTerm, Scaled,
-                   Translated, ZeroTerm, prox_conjugate,
-                   prox_weighted_conjugate)
+                   Translated, ZeroTerm, prox_conjugate)
 from .product import BlockStack
 from .solvers import (CompositeProblem, PiccsProblem, SmoothTerm,
                       SolverConfig, SolveReport, objective,

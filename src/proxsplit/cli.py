@@ -16,9 +16,10 @@ Config keys (defaults in parentheses):
     pdfb.sigma, pdfb.tau, pdfb.inner_iters (1), admm.rho (1.0)
 
 Any other key, and a value no problem admits (a step or rho <= 0,
-run.max_outer or inner_iters < 1), is a usage error; a step outside its
-convergence bound for the scene is a solver failure.  Exit codes: 0 ok,
-1 solver failure, 2 usage error.
+run.max_outer or inner_iters < 1, a noise variance or lambda that is
+negative or not finite), is a usage error; a step outside its convergence
+bound for the scene is a solver failure.  Exit codes: 0 ok, 1 solver
+failure, 2 usage error.
 """
 
 import argparse
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, ProxsplitError
-from .ct import Scene, build_instance, run_experiment
+from .ct import Scene, run_experiment
 from .solvers import ALGORITHMS, SolverConfig
 
 EXIT_OK = 0
@@ -151,8 +152,7 @@ def run(config_path, out_override=None, seed_override=None):
     cfg = parse_config(config_path)
     scene, configs, out_dir = build_runspec(cfg, out_override, seed_override)
     out_dir.mkdir(parents=True, exist_ok=True)
-    instance = build_instance(scene)
-    rows = run_experiment(scene, configs, instance=instance)
+    rows = run_experiment(scene, configs)
 
     results_lines = ["algorithm,eps,snr_db,nmsd,iterations,"
                      "final_objective,terminated_by"]

@@ -8,6 +8,7 @@ together with SNR/NMSD quality metrics.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,16 +64,16 @@ class Scene:
         if self.geometry not in ("fan", "parallel"):
             raise ParameterError(
                 f"geometry must be 'fan' or 'parallel', got {self.geometry}")
-        if self.n < 8:
-            raise ParameterError(f"scene needs n >= 8, got {self.n}")
-        if self.n_views < 1 or self.n_rays < 1:
-            raise ParameterError("n_views and n_rays must be >= 1")
-        if self.noise_var_b < 0 or self.noise_var_prior < 0:
-            raise ParameterError("noise variances must be >= 0")
-        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
-            raise ParameterError(
-                f"lambda1 and lambda2 must be >= 0, got {self.lambda1}, "
-                f"{self.lambda2}")
+        for name, least in (("n", 8), ("n_views", 1), ("n_rays", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ParameterError(
+                    f"{name} must be an integer >= {least}, got {value}")
+        for name in ("noise_var_b", "noise_var_prior", "lambda1", "lambda2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ParameterError(
+                    f"{name} must be finite and >= 0, got {value}")
         # A source on or inside the [-1, 1]^2 square would also count the
         # pixels behind it; at 0 the centre ray has no direction.
         if not (math.isfinite(self.source_radius)
@@ -287,16 +288,16 @@ def build_instance(scene):
     return PiccsInstance(scene, A, b, phantom, x_p, D)
 
 
-def run_experiment(scene, configs, instance=None):
-    """Solve the scene's reconstruction problem once per config.
+def run_experiment(scene, configs):
+    """Build the scene's instance and solve its reconstruction problem once
+    per config.
 
     Returns one result dict per config with SNR/NMSD/iteration counts and
     the full objective/metric traces.  Package errors and floating-point
     errors of a solver are captured in its row; any other exception is a
     bug and propagates.
     """
-    if instance is None:
-        instance = build_instance(scene)
+    instance = build_instance(scene)
     composite = instance.composite()
     # Looked up per call, not at import, so a solver rebound on this module
     # is the one that runs.
@@ -305,9 +306,6 @@ def run_experiment(scene, configs, instance=None):
     for cfg in configs:
         row = {"algorithm": cfg.algorithm, "eps": cfg.eps}
         try:
-            if cfg.algorithm not in solvers:
-                raise ParameterError(
-                    f"unknown algorithm {cfg.algorithm!r}")
             report = solvers[cfg.algorithm](
                 composite, cfg, metric_fn=lambda x: snr(instance.phantom, x))
         except (ProxsplitError, FloatingPointError) as exc:

@@ -21,8 +21,9 @@ __all__ = [
 
 
 class LinearOperator:
-    """A bounded linear map backed by a dense or sparse matrix.
+    """A bounded linear map stored as a CSR matrix.
 
+    Any 2-D input, dense or sparse, is converted to float CSR once, here.
     Immutable after construction; ``apply``/``adjoint_apply`` are pure.
     ``norm_sq`` gives ||B||^2 exactly when it is known in closed form;
     otherwise :func:`op_norm_sq` estimates it once per (tol, max_iter) and
@@ -30,15 +31,10 @@ class LinearOperator:
     """
 
     def __init__(self, mat, norm_sq=None):
-        if sp.issparse(mat):
-            mat = mat.tocsr()
-            self._matT = mat.T.tocsr()
-        else:
-            mat = np.asarray(mat, dtype=float)
-            if mat.ndim != 2:
-                raise DimensionError("matrix must be 2-dimensional")
-            self._matT = mat.T
-        self._mat = mat
+        if np.ndim(mat) != 2:
+            raise DimensionError("matrix must be 2-dimensional")
+        mat = sp.csr_matrix(mat, dtype=float)
+        self._mat, self._matT = mat, mat.T.tocsr()
         self.rows, self.cols = mat.shape
         if self.rows < 1 or self.cols < 1:
             raise DimensionError(
@@ -62,13 +58,11 @@ class LinearOperator:
 
     @property
     def matrix(self):
-        """Backing matrix (sparse CSR or dense ndarray)."""
+        """Backing matrix, a ``scipy.sparse.csr_matrix`` of floats."""
         return self._mat
 
     def to_dense(self):
-        if sp.issparse(self._mat):
-            return self._mat.toarray()
-        return np.array(self._mat)
+        return self._mat.toarray()
 
     def __repr__(self):
         return f"LinearOperator({self.rows}x{self.cols})"
@@ -81,11 +75,11 @@ def identity(n):
 
 
 def dense(mat):
-    return LinearOperator(np.asarray(mat, dtype=float))
+    return LinearOperator(mat)
 
 
 def sparse(mat):
-    return LinearOperator(sp.csr_matrix(mat))
+    return LinearOperator(mat)
 
 
 def zero(rows, cols):

@@ -1,22 +1,23 @@
 """Product-space machinery for stacks of (operator, prox term) blocks.
 
-A stack represents the composite penalty sum_i h_i(B_i x).  It can carry
-optional positive weights summing to 1, which changes the inner product on
-the dual product space and therefore the blockwise prox formulas; the
-unweighted mode is a distinct flag, not equal weights.
+A stack represents the composite penalty sum_i h_i(B_i x).  Its dual
+product space carries the inner product sum_i w_i <y_i, z_i>: optional
+positive weights summing to 1, or unit weights for an unweighted stack
+(which therefore is not the same as equal weights).
 """
 
 import numpy as np
 
 from .errors import DimensionError
 from .linops import safe_norm_sq
-from .prox import prox_conjugate, prox_weighted_conjugate
+from .prox import _check_step
 
 __all__ = ["BlockStack"]
 
 
 class BlockStack:
-    """Ordered blocks (B_i, h_i) over a common primal space."""
+    """Ordered blocks (B_i, h_i) over a common primal space; ``weights``
+    holds the w_i of the dual inner product, all 1.0 when none are given."""
 
     def __init__(self, blocks, weights=None):
         if not blocks:
@@ -30,7 +31,9 @@ class BlockStack:
                 raise DimensionError(
                     f"operator output {op.rows} != term dim {term.dim}")
         self.blocks = tuple(blocks)
-        if weights is not None:
+        if weights is None:
+            weights = (1.0,) * len(blocks)
+        else:
             weights = tuple(float(w) for w in weights)
             if len(weights) != len(blocks):
                 raise DimensionError(
@@ -82,7 +85,7 @@ class BlockStack:
         return out
 
     def combined_adjoint(self, ys):
-        """sum_i w_i B_i^T y_i (weights 1 when unweighted).
+        """sum_i w_i B_i^T y_i.
 
         Within a group of blocks sharing B, forms B^T (sum w_i y_i) with one
         adjoint product; groups are summed in order of first appearance.
@@ -92,40 +95,36 @@ class BlockStack:
         for op, idx in self._groups:
             z = None
             for i in idx:
-                wy = ys[i] if self.weights is None else self.weights[i] * ys[i]
+                w = self.weights[i]
+                wy = ys[i] if w == 1.0 else w * ys[i]
                 z = wy if z is None else z + wy
             bz = op.adjoint_apply(z)
             out = bz if out is None else out + bz
         return out
 
     def stacked_prox(self, ys, t):
-        """Blockwise prox of sum_i h_i under the stack's inner product."""
+        """Blockwise prox of t h_i with the step t / w_i, for each block i."""
         ys = self._check_ys(ys)
-        out = []
-        for i, ((_, term), y) in enumerate(zip(self.blocks, ys)):
-            step = t / self.weights[i] if self.weights is not None else t
-            out.append(term.prox(y, step))
-        return out
-
-    def stacked_conjugate_prox(self, ys, t):
-        """Blockwise conjugate prox under the stack's inner product."""
-        ys = self._check_ys(ys)
-        if self.weights is None:
-            return [prox_conjugate(term, y, t)
-                    for (_, term), y in zip(self.blocks, ys)]
-        return [prox_weighted_conjugate(term, w, y, t)
+        return [term.prox(y, t / w)
                 for (_, term), w, y in zip(self.blocks, self.weights, ys)]
 
-    def norm_sq_bound(self):
-        """Safety-factored bound on ||(B_1, ..., B_m)||^2.
+    def stacked_conjugate_prox(self, ys, t):
+        """Blockwise prox of t sum_i h_i* under the stack's inner product.
 
-        Under the weighted product this is sum_i w_i ||B_i||^2, otherwise
-        sum_i ||B_i||^2.  Cached after the first call.
+        Moreau's identity in that space gives it from :meth:`stacked_prox`:
+        y_i - t p_i with p = stacked_prox([y_i / t], 1 / t).
+        """
+        _check_step(t)
+        ys = self._check_ys(ys)
+        ps = self.stacked_prox([y / t for y in ys], 1.0 / t)
+        return [y - t * p for y, p in zip(ys, ps)]
+
+    def norm_sq_bound(self):
+        """Safety-factored bound on sum_i w_i ||B_i||^2, the squared norm of
+        (B_1, ..., B_m) into the weighted product space.  Cached after the
+        first call.
         """
         if self._norm_sq is None:
-            total = 0.0
-            for i, (op, _) in enumerate(self.blocks):
-                w = self.weights[i] if self.weights is not None else 1.0
-                total += w * safe_norm_sq(op)
-            self._norm_sq = total
+            self._norm_sq = sum(w * safe_norm_sq(op) for (op, _), w
+                                in zip(self.blocks, self.weights))
         return self._norm_sq

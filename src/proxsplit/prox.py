@@ -12,8 +12,7 @@ from .errors import DimensionError, ParameterError
 
 __all__ = [
     "ProxTerm", "L1Norm", "GroupL21", "BoxIndicator", "ZeroTerm",
-    "Translated", "Scaled",
-    "prox_conjugate", "prox_weighted_conjugate",
+    "Translated", "Scaled", "prox_conjugate",
 ]
 
 
@@ -165,15 +164,3 @@ def prox_conjugate(f, u, t):
     u = _vec(u)
     return u - t * f.prox(u / t, 1.0 / t)
 
-
-def prox_weighted_conjugate(f, w, u, t):
-    """Block conjugate prox under a w-weighted inner product.
-
-    Returns (1/w) prox_{w t f*}(w u); with w = 1 this is the plain
-    conjugate prox.
-    """
-    if not 0 < w <= 1:
-        raise ParameterError(f"weight must lie in (0, 1], got {w}")
-    _check_step(t)
-    u = _vec(u)
-    return prox_conjugate(f, w * u, w * t) / w

@@ -22,6 +22,7 @@ configured tolerance.
 """
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,8 +145,11 @@ class SolverConfig:
                 f"valid: {MODES}")
         if not self.eps > 0:
             raise ParameterError(f"eps must be positive, got {self.eps}")
-        if self.inner_iters < 1 or self.max_outer < 1:
-            raise ParameterError("inner_iters and max_outer must be >= 1")
+        for name in ("inner_iters", "max_outer"):
+            count = getattr(self, name)
+            if not (isinstance(count, numbers.Integral) and count >= 1):
+                raise ParameterError(
+                    f"{name} must be an integer >= 1, got {count}")
         if not self.rho > 0:
             raise ParameterError(
                 f"penalty rho must be positive, got {self.rho}")

@@ -6,6 +6,9 @@ oracle minimizes 0.5||x-u||^2 + t f(x) by coarse grid search over
 same for full composite objectives in dimension <= 4.  ``CountingOperator``
 counts the products a solver or a stack makes with an operator.
 ``siddon_projector_oracle`` builds the CT system matrix one ray at a time.
+``prox_weighted_conjugate`` is the closed form of one block's conjugate
+prox under a w-weighted inner product, the reference for
+``BlockStack.stacked_conjugate_prox`` on weighted stacks.
 """
 
 import itertools
@@ -16,6 +19,8 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from proxsplit import linops
+from proxsplit.errors import ParameterError
+from proxsplit.prox import _check_step, _vec, prox_conjugate
 
 
 class CountingOperator(linops.LinearOperator):
@@ -35,6 +40,19 @@ class CountingOperator(linops.LinearOperator):
 
     def counts(self):
         return self.applies, self.adjoints
+
+
+def prox_weighted_conjugate(f, w, u, t):
+    """Block conjugate prox under a w-weighted inner product.
+
+    Returns (1/w) prox_{w t f*}(w u); with w = 1 this is the plain
+    conjugate prox.
+    """
+    if not 0 < w <= 1:
+        raise ParameterError(f"weight must lie in (0, 1], got {w}")
+    _check_step(t)
+    u = _vec(u)
+    return prox_conjugate(f, w * u, w * t) / w
 
 
 def prox_objective(value_fn, u, t):

@@ -180,6 +180,18 @@ def test_run_invalid_scene_is_usage_error(tmp_path, capsys):
     assert "lambda1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", [
+    "noise_var_b", "noise_var_prior", "lambda1", "lambda2"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_run_non_finite_scene_value_is_usage_error(tmp_path, capsys, key,
+                                                   value):
+    cfg = write_config(tmp_path, BASE_CONFIG + f"scene.{key} = {value}\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) \
+        == cli.EXIT_USAGE
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
 @pytest.mark.parametrize("algo, line", [
     ("dfb", "run.max_outer = 0"), ("dfb", "dfb.lambda = -1"),
     ("pdfb", "pdfb.inner_iters = 0"), ("admm", "admm.rho = 0")])

@@ -118,6 +118,19 @@ def test_scene_validates_geometry():
                 dict(source_radius=-2.0), dict(source_radius=float("nan"))):
         with pytest.raises(ParameterError):
             ct.Scene(**bad)
+    for name in ("noise_var_b", "noise_var_prior", "lambda1", "lambda2"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ParameterError, match=name):
+                ct.Scene(**{name: value})
+
+
+def test_scene_counts_must_be_integers():
+    for name, value in (("n", 8.5), ("n", 8.0), ("n_views", 2.5),
+                        ("n_rays", 3.5), ("n_rays", float("nan"))):
+        with pytest.raises(ParameterError, match=name):
+            ct.Scene(**{name: value})
+    scene = ct.Scene(n=np.int64(8), n_views=np.int32(2), n_rays=3)
+    assert ct.build_instance(scene).A.rows == 6
 
 
 # ------------------------------------------------------- noise and prior

@@ -34,6 +34,21 @@ def test_apply_zero_vector_gives_zero():
         assert np.array_equal(op.apply(np.zeros(op.cols)), np.zeros(op.rows))
 
 
+def test_dense_input_is_stored_as_float_csr():
+    op = linops.dense([[1, 0, 2], [0, 3, 0]])
+    assert op.matrix.format == "csr" and op.matrix.dtype == float
+    assert op.matrix.nnz == 3
+    assert np.array_equal(op.to_dense(), [[1, 0, 2], [0, 3, 0]])
+    assert np.array_equal(op.adjoint_apply([1, 1]), [1, 3, 2])
+
+
+def test_rejects_input_that_is_not_2d():
+    for make in (linops.LinearOperator, linops.dense, linops.sparse):
+        for bad in (np.ones(3), [1.0, 2.0], np.ones((2, 2, 2)), 4.0):
+            with pytest.raises(DimensionError):
+                make(bad)
+
+
 def test_apply_dimension_mismatch():
     op = linops.first_difference(3)
     with pytest.raises(DimensionError):

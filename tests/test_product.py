@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from proxsplit import linops, prox
-from proxsplit.errors import DimensionError
+from proxsplit.errors import DimensionError, ParameterError
 from proxsplit.product import BlockStack
 
-from oracles import CountingOperator
+from oracles import CountingOperator, prox_weighted_conjugate
+from test_acceptance import sample_terms
 
 
 def two_identity_stack(weights=None):
@@ -196,7 +197,44 @@ def test_unweighted_conjugate_prox_is_blockwise_plain():
     ys = [np.array([2.0, -0.4, 0.0]), np.array([1.5, 0.2, -3.0])]
     got = stack.stacked_conjugate_prox(ys, 0.7)
     for g, y in zip(got, ys):
-        assert np.allclose(g, prox.prox_conjugate(prox.L1Norm(3), y, 0.7))
+        assert np.array_equal(g, prox.prox_conjugate(prox.L1Norm(3), y, 0.7))
+    # every term, bit for bit, with blocks on distinct operators
+    rng = np.random.default_rng(45)
+    for term in sample_terms():
+        stack = BlockStack([(linops.identity(term.dim), term),
+                            (linops.first_difference(term.dim), term)])
+        for t in (0.05, 1.0, 40.0):
+            ys = [rng.standard_normal(term.dim) for _ in range(2)]
+            got = stack.stacked_conjugate_prox(ys, t)
+            for g, y in zip(got, ys):
+                assert np.array_equal(g, prox.prox_conjugate(term, y, t))
+
+
+@pytest.mark.parametrize("weights", [(0.3, 0.7), (0.5, 0.5)])
+def test_weighted_conjugate_prox_matches_closed_form_oracle(weights):
+    # Moreau's identity in the weighted space against the per-block closed
+    # form (1/w) prox_{w t h*}(w y).  The error is taken relative to the
+    # larger of ||y|| and the result, which can cancel to about 1e-16.
+    rng = np.random.default_rng(44)
+    for term in sample_terms():
+        op = linops.identity(term.dim)
+        stack = BlockStack([(op, term), (op, term)], weights=weights)
+        for t in (0.05, 0.3, 1.0, 2.5, 40.0):
+            for _ in range(10):
+                ys = [3.0 * rng.standard_normal(term.dim) for _ in weights]
+                got = stack.stacked_conjugate_prox(ys, t)
+                for g, w, y in zip(got, weights, ys):
+                    want = prox_weighted_conjugate(term, w, y, t)
+                    scale = max(np.linalg.norm(want), np.linalg.norm(y))
+                    assert np.linalg.norm(g - want) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("weights", [None, (0.3, 0.7)])
+def test_conjugate_prox_rejects_nonpositive_step(weights):
+    stack = two_identity_stack(weights=weights)
+    for t in (0.0, -1.0, float("nan")):
+        with pytest.raises(ParameterError):
+            stack.stacked_conjugate_prox([np.ones(3), np.ones(3)], t)
 
 
 def test_weighted_single_block_weight_one_equals_unweighted():

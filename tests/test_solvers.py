@@ -11,7 +11,8 @@ from proxsplit.solvers import (CompositeProblem, SmoothTerm,
                                solve_admm, solve_dfb, solve_pdfb,
                                validate_params)
 
-from oracles import CountingOperator, problem_oracle
+from oracles import (CountingOperator, problem_oracle,
+                     prox_weighted_conjugate)
 
 
 def least_squares_smooth(b):
@@ -159,6 +160,16 @@ def test_validate_rejects_unknown_algorithm_and_mode():
         validate_params(problem, SolverConfig("newton"))
     with pytest.raises(ParameterError):
         validate_params(problem, SolverConfig("dfb", convergence_mode="fast"))
+
+
+def test_config_rejects_non_integer_counts():
+    for bad in (dict(max_outer=2.5), dict(max_outer=float("nan")),
+                dict(max_outer=10.0), dict(inner_iters=1.5)):
+        with pytest.raises(ParameterError, match=next(iter(bad))):
+            SolverConfig("dfb", **bad)
+    cfg = SolverConfig("dfb", max_outer=np.int64(3), inner_iters=np.int32(2))
+    report = solve_dfb(tv_denoise_problem(FOUR_PIXEL_B), cfg)
+    assert report.outer_iters == 3
 
 
 def test_validate_admm_gamma_bound():
@@ -484,7 +495,7 @@ def test_dfb_inner_iterations_reproduce_direct_scheme(weights):
         u = x - gamma * (x - b)
         for _ in range(3):
             v = g.prox(u - gamma * bty(ys), gamma)
-            ys = [prox.prox_weighted_conjugate(
+            ys = [prox_weighted_conjugate(
                       h, wi, y + (lam / gamma) * B.apply(v), lam / gamma)
                   for h, wi, y in zip(terms, w, ys)]
         x = g.prox(u - gamma * bty(ys), gamma)
@@ -512,7 +523,7 @@ def test_pdfb_inner_iterations_reproduce_direct_scheme(weights):
             xbar_new = g.prox((xbar - tau * bty + tau * u) / (1.0 + tau),
                               tau * gamma / (1.0 + tau))
             z = 2.0 * xbar_new - xbar
-            ys = [gamma * prox.prox_weighted_conjugate(
+            ys = [gamma * prox_weighted_conjugate(
                       h, wi, (y + sigma * B.apply(z)) / gamma, sigma / gamma)
                   for h, wi, y in zip(terms, w, ys)]
             xbar = xbar_new
