@@ -15,7 +15,9 @@ Config keys (defaults in parentheses):
     <algo>.gamma, dfb.lambda, dfb.inner_iters (1), dfb.mode (strict-weak),
     pdfb.sigma, pdfb.tau, pdfb.inner_iters (1), admm.rho (1.0)
 
-Any other key, and a value no problem admits (a step or rho <= 0,
+The <algo>.* keys are those of the SolverConfig fields solvers.OPTIONS lists
+for the algorithm.  Any other key (so a setting an algorithm does not read,
+such as admm.lambda), and a value no problem admits (a step or rho <= 0,
 run.max_outer or inner_iters < 1, a noise variance or lambda that is
 negative or not finite), is a usage error; a step outside its convergence
 bound for the scene is a solver failure.  Exit codes: 0 ok, 1 solver
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import ParameterError, ProxsplitError
 from .ct import Scene, run_experiment
-from .solvers import ALGORITHMS, SolverConfig
+from .solvers import OPTIONS, SolverConfig
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -70,8 +72,8 @@ def _get(cfg, key, conv, default):
 
 
 # Config keys that set Scene fields (scene.<field>) and SolverConfig fields
-# (<algo>.<key>, for the keys that algorithm uses); unset fields keep their
-# defaults.
+# (<algo>.<key>, for the fields solvers.OPTIONS says that algorithm reads);
+# unset fields keep their defaults.
 SCENE_KEYS = {"n": int, "n_views": int, "n_rays": int, "geometry": str,
               "noise_var_b": float, "noise_var_prior": float, "seed": int,
               "lambda1": float, "lambda2": float}
@@ -79,13 +81,11 @@ SOLVER_KEYS = {"gamma": ("gamma", float), "lambda": ("lam", float),
                "sigma": ("sigma", float), "tau": ("tau", float),
                "rho": ("rho", float), "inner_iters": ("inner_iters", int),
                "mode": ("convergence_mode", str)}
-ALGORITHM_KEYS = {"dfb": ("gamma", "lambda", "inner_iters", "mode"),
-                  "pdfb": ("gamma", "sigma", "tau", "inner_iters"),
-                  "admm": ("gamma", "rho")}
 RUN_KEYS = ("run.solvers", "run.eps", "run.max_outer", "run.out")
 KNOWN_KEYS = frozenset(
     [f"scene.{k}" for k in SCENE_KEYS] + list(RUN_KEYS)
-    + [f"{a}.{k}" for a, keys in ALGORITHM_KEYS.items() for k in keys])
+    + [f"{a}.{k}" for a, fields in OPTIONS.items()
+       for k, (name, _) in SOLVER_KEYS.items() if name in fields])
 
 
 def build_runspec(cfg, out_override=None, seed_override=None):
@@ -102,11 +102,6 @@ def build_runspec(cfg, out_override=None, seed_override=None):
         raise ConfigError(f"bad scene: {exc}")
     solvers = [s.strip() for s in
                _get(cfg, "run.solvers", str, "dfb,pdfb,admm").split(",")]
-    for s in solvers:
-        if s not in ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {s!r}; valid options: "
-                f"{', '.join(ALGORITHMS)}")
     eps_list = _get(cfg, "run.eps",
                     lambda v: [float(e) for e in v.split(",")], [1e-6])
     max_outer = _get(cfg, "run.max_outer", int, 40_000)
@@ -115,11 +110,9 @@ def build_runspec(cfg, out_override=None, seed_override=None):
 
     configs = []
     for algo in solvers:
-        solver_args = {}
-        for k in ALGORITHM_KEYS[algo]:
-            if f"{algo}.{k}" in cfg:
-                name, conv = SOLVER_KEYS[k]
-                solver_args[name] = _get(cfg, f"{algo}.{k}", conv, None)
+        solver_args = {name: _get(cfg, f"{algo}.{k}", conv, None)
+                       for k, (name, conv) in SOLVER_KEYS.items()
+                       if f"{algo}.{k}" in cfg}
         for eps in eps_list:
             try:
                 configs.append(SolverConfig(algo, max_outer=max_outer,

@@ -69,6 +69,8 @@ class Scene:
             if not (isinstance(value, numbers.Integral) and value >= least):
                 raise ParameterError(
                     f"{name} must be an integer >= {least}, got {value}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ParameterError(f"seed must be an integer, got {self.seed}")
         for name in ("noise_var_b", "noise_var_prior", "lambda1", "lambda2"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -201,8 +203,9 @@ def build_projector(scene):
 
 def add_gaussian_noise(v, variance, seed):
     """v plus i.i.d. N(0, variance) noise from the portable stream."""
-    if variance < 0:
-        raise ParameterError(f"variance must be >= 0, got {variance}")
+    if not (math.isfinite(variance) and variance >= 0):
+        raise ParameterError(
+            f"variance must be finite and >= 0, got {variance}")
     v = np.asarray(v, dtype=float).ravel()
     if variance == 0:
         return v.copy()

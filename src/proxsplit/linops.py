@@ -10,7 +10,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError
+from .errors import DimensionError, ParameterError
 from .rng import Stream
 
 __all__ = [
@@ -26,8 +26,8 @@ class LinearOperator:
     Any 2-D input, dense or sparse, is converted to float CSR once, here.
     Immutable after construction; ``apply``/``adjoint_apply`` are pure.
     ``norm_sq`` gives ||B||^2 exactly when it is known in closed form;
-    otherwise :func:`op_norm_sq` estimates it once per (tol, max_iter) and
-    keeps the estimate on the operator.
+    otherwise :func:`op_norm_sq` estimates it once per ``tol`` and keeps the
+    estimate on the operator.
     """
 
     def __init__(self, mat, norm_sq=None):
@@ -122,14 +122,15 @@ def tv_gradient(n, m):
 
 
 # Seed of the power-iteration start vector, fixed so that every estimate
-# is reproducible.
+# is reproducible, and the iteration cap of power iteration.
 _START_SEED = 1
+_MAX_ITER = 100_000
 
 
-def op_norm_sq(op, tol=1e-9, max_iter=100_000):
+def op_norm_sq(op, tol=1e-9):
     """||B||^2 = lambda_max(B^T B): exact if the operator carries it,
-    otherwise a power-iteration estimate made once per (tol, max_iter) and
-    kept on the operator.
+    otherwise a power-iteration estimate made once per ``tol`` (finite,
+    > 0) and kept on the operator.
 
     Power iteration starts from a fixed-seed Gaussian vector, which has a
     component along every eigenvector of B^T B with probability one (a
@@ -142,23 +143,22 @@ def op_norm_sq(op, tol=1e-9, max_iter=100_000):
     gates use :func:`safe_norm_sq`, whose ``1 + 10 tol`` inflation covers
     this.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
     if op._exact_norm_sq is not None:
         return op._exact_norm_sq
-    key = (tol, max_iter)
-    if key not in op._norm_sq_cache:
-        op._norm_sq_cache[key] = _power_iteration(op, tol, max_iter)
-    return op._norm_sq_cache[key]
+    if tol not in op._norm_sq_cache:
+        op._norm_sq_cache[tol] = _power_iteration(op, tol)
+    return op._norm_sq_cache[tol]
 
 
-def _power_iteration(op, tol, max_iter):
+def _power_iteration(op, tol):
     v = Stream(_START_SEED).gaussians(op.cols)
     v /= np.linalg.norm(v)
     w = op.adjoint_apply(op.apply(v))
     lam = float(v @ w)
     diff_prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
@@ -177,14 +177,14 @@ def _power_iteration(op, tol, max_iter):
     return max(lam, 0.0)
 
 
-def safe_norm_sq(op, tol=1e-9, max_iter=100_000):
+def safe_norm_sq(op, tol=1e-9):
     """Upper-bound flavor of :func:`op_norm_sq` for step-size formulas.
 
     Power iteration approaches the top eigenvalue from below; the strict
     step-size inequalities need an upper bound, hence the (1 + 10 tol)
     inflation.
     """
-    return op_norm_sq(op, tol=tol, max_iter=max_iter) * (1.0 + 10.0 * tol)
+    return op_norm_sq(op, tol=tol) * (1.0 + 10.0 * tol)
 
 
 def _image(u, n, m):

@@ -15,9 +15,10 @@ IEEE-754 double platform (best effort across floating-point environments:
 the integer stream is exact, log/sqrt follow the platform libm).
 """
 
+import operator
+
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
 _TAG_MULT = 0xD2B74407B1CE6E93
 
@@ -32,7 +33,7 @@ def mix64(z: int) -> int:
 
 def substream_seed(master_seed: int, tag: int) -> int:
     """Derive an independent stream seed for a named purpose tag."""
-    return mix64((master_seed ^ (tag * _TAG_MULT)) & 0xFFFFFFFFFFFFFFFF)
+    return mix64(operator.index(master_seed) ^ (tag * _TAG_MULT))
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
@@ -45,7 +46,7 @@ class Stream:
     """A single splitmix64 stream with an advancing counter."""
 
     def __init__(self, seed: int):
-        self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self.seed = np.uint64(operator.index(seed) & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
 
     def uniforms(self, count: int) -> np.ndarray:

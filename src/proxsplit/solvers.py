@@ -117,7 +117,10 @@ class PiccsProblem:
     hi: float = np.inf
 
 
-ALGORITHMS = ("dfb", "pdfb", "admm")
+# The SolverConfig fields each algorithm reads, besides max_outer and eps.
+OPTIONS = {"dfb": ("gamma", "lam", "inner_iters", "convergence_mode"),
+           "pdfb": ("gamma", "sigma", "tau", "inner_iters"),
+           "admm": ("gamma", "rho")}
 MODES = ("strict-weak", "relaxed-finite")
 
 
@@ -136,9 +139,14 @@ class SolverConfig:
 
     def __post_init__(self):
         """Reject values no problem admits; validate_params checks bounds."""
-        if self.algorithm not in ALGORITHMS:
-            raise ParameterError(
-                f"unknown algorithm {self.algorithm!r}; valid: {ALGORITHMS}")
+        if self.algorithm not in OPTIONS:
+            raise ParameterError(f"unknown algorithm {self.algorithm!r}; "
+                                 f"valid: {tuple(OPTIONS)}")
+        reads = ("algorithm", "max_outer", "eps") + OPTIONS[self.algorithm]
+        unread = [f.name for f in dataclasses.fields(self) if f.name not in
+                  reads and getattr(self, f.name) != f.default]
+        if unread:
+            raise ParameterError(f"{self.algorithm} does not read {unread}")
         if self.convergence_mode not in MODES:
             raise ParameterError(
                 f"unknown convergence_mode {self.convergence_mode!r}; "
@@ -355,34 +363,31 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
                                   _init_duals(stack, y0)), metric_fn, notes)
 
 
-def solve_pdfb(problem, config, x0=None, y0=None, xbar0=None, metric_fn=None):
+def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
     """Primal-dual forward-backward splitting."""
     cfg = _validate(problem, config, "pdfb")
     stack, g = problem.stack, problem.simple
     gamma, sigma, tau = cfg.gamma, cfg.sigma, cfg.tau
     step_g = tau * gamma / (1.0 + tau)
 
-    def iterates(x, xbar, ys):
+    def iterates(x, ys):
         yield x, objective(problem, x)
         while True:
             u = x - gamma * problem.smooth.gradient(x)
             for _ in range(cfg.inner_iters):
-                arg = (xbar - tau * stack.combined_adjoint(ys) + tau * u) \
+                arg = (x - tau * stack.combined_adjoint(ys) + tau * u) \
                     / (1.0 + tau)
-                xbar_new = g.prox(arg, step_g)
-                z = 2.0 * xbar_new - xbar
+                x_new = g.prox(arg, step_g)
+                z = 2.0 * x_new - x
                 args = [(y + sigma * bz) / gamma
                         for y, bz in zip(ys, stack.apply_blocks(z))]
                 ys = [gamma * yi for yi in
                       stack.stacked_conjugate_prox(args, sigma / gamma)]
-                xbar = xbar_new
-            x = xbar
+                x = x_new
             yield x, objective(problem, x)
 
-    x = _start(x0, problem.dim)
-    xbar = x if xbar0 is None else _start(xbar0, problem.dim)
-    return _iterate(cfg, iterates(x, xbar, _init_duals(stack, y0)),
-                    metric_fn)
+    return _iterate(cfg, iterates(_start(x0, problem.dim),
+                                  _init_duals(stack, y0)), metric_fn)
 
 
 def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):

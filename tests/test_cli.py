@@ -110,6 +110,17 @@ def test_build_runspec_rejects_unknown_keys():
             cli.build_runspec({key: "1"})
 
 
+def test_known_keys_are_scene_run_and_each_algorithms_options():
+    assert cli.KNOWN_KEYS == {
+        "scene.n", "scene.n_views", "scene.n_rays", "scene.geometry",
+        "scene.noise_var_b", "scene.noise_var_prior", "scene.seed",
+        "scene.lambda1", "scene.lambda2",
+        "run.solvers", "run.eps", "run.max_outer", "run.out",
+        "dfb.gamma", "dfb.lambda", "dfb.inner_iters", "dfb.mode",
+        "pdfb.gamma", "pdfb.sigma", "pdfb.tau", "pdfb.inner_iters",
+        "admm.gamma", "admm.rho"}
+
+
 def test_build_runspec_rejects_bad_eps():
     with pytest.raises(ConfigError, match="run.eps"):
         cli.build_runspec({"run.eps": "1e-6,tight"})
@@ -130,6 +141,18 @@ def test_run_writes_results_trace_and_image(tmp_path):
     assert (out / "trace_dfb_eps0.001.csv").exists()
     assert (out / "recon_dfb_eps0.001.pgm").exists()
     assert (out / "recon_dfb_eps0.001.pgm.txt").exists()
+
+
+def test_run_out_key_sets_the_directory_and_out_flag_overrides_it(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, BASE_CONFIG + "run.out = from_key\n")
+    assert cli.main(["run", str(cfg), "--out", "from_flag"]) == cli.EXIT_OK
+    assert (tmp_path / "from_flag" / "results.csv").exists()
+    assert not (tmp_path / "from_key").exists()
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_OK
+    assert (tmp_path / "from_key" / "results.csv").exists()
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_run_trace_has_one_row_per_iteration(tmp_path):

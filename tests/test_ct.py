@@ -136,6 +136,18 @@ def test_scene_counts_must_be_integers():
 # ------------------------------------------------------- noise and prior
 
 
+def test_scene_seed_must_be_an_integer():
+    for seed in (3, -3):
+        want = ct.build_instance(small_scene(noise_var_b=0.01, seed=seed))
+        got = ct.build_instance(small_scene(noise_var_b=0.01,
+                                            seed=np.int64(seed)))
+        assert got.b.tobytes() == want.b.tobytes()
+        assert got.x_p.tobytes() == want.x_p.tobytes()
+    for bad in (1.5, 3.0, float("nan"), "3"):
+        with pytest.raises(ParameterError, match="seed"):
+            small_scene(seed=bad)
+
+
 def test_noise_variance_zero_is_identity():
     v = np.arange(5.0)
     assert np.array_equal(ct.add_gaussian_noise(v, 0.0, 1), v)
@@ -148,6 +160,14 @@ def test_noise_is_deterministic_under_fixed_seed():
     assert np.array_equal(a, b)
     c = ct.add_gaussian_noise(v, 0.25, 43)
     assert not np.array_equal(a, c)
+    assert ct.add_gaussian_noise(v, 0.25, np.int64(42)).tobytes() \
+        == a.tobytes()
+
+
+def test_noise_variance_must_be_finite_and_nonnegative():
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ParameterError, match="variance"):
+            ct.add_gaussian_noise(np.zeros(3), bad, 1)
 
 
 def test_noise_sample_variance_matches_request():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from proxsplit import linops
-from proxsplit.errors import DimensionError
+from proxsplit.errors import DimensionError, ParameterError
 
 from oracles import CountingOperator
 
@@ -270,6 +270,15 @@ def test_op_norm_sq_is_computed_once_per_operator():
     # a different tolerance is a different estimate
     linops.op_norm_sq(op, tol=1e-6)
     assert op.applies > before[0]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_norm_tolerance_must_be_finite_and_positive(tol):
+    # checked before the closed-form norm of tv_gradient is returned too
+    for op in (linops.first_difference(5), linops.tv_gradient(3, 3)):
+        for norm_sq in (linops.op_norm_sq, linops.safe_norm_sq):
+            with pytest.raises(ParameterError, match="tol"):
+                norm_sq(op, tol=tol)
 
 
 # --------------------------------------------------------------- atv/itv

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from proxsplit.rng import Stream, mix64, substream_seed
 
@@ -48,6 +49,18 @@ def test_substreams_differ_and_are_stable():
     assert s == substream_seed(20170520, 1)
     # different master seeds give different substreams
     assert s != substream_seed(20170521, 1)
+
+
+def test_numpy_integer_seeds_match_python_ints():
+    for seed in (3, -3, 2**63 - 1):
+        assert substream_seed(np.int64(seed), 1) == substream_seed(seed, 1)
+        assert np.array_equal(Stream(np.int64(seed)).uniforms(9),
+                              Stream(seed).uniforms(9))
+    for bad in (1.5, "3"):
+        with pytest.raises(TypeError):
+            Stream(bad)
+        with pytest.raises(TypeError):
+            substream_seed(bad, 1)
 
 
 def test_different_seeds_give_different_streams():

@@ -6,7 +6,7 @@ import pytest
 from proxsplit import linops, prox
 from proxsplit.errors import DimensionError, DivergenceError, ParameterError
 from proxsplit.product import BlockStack
-from proxsplit.solvers import (CompositeProblem, SmoothTerm,
+from proxsplit.solvers import (OPTIONS, CompositeProblem, SmoothTerm,
                                SolverConfig, objective, quadratic_data_term,
                                solve_admm, solve_dfb, solve_pdfb,
                                validate_params)
@@ -119,6 +119,10 @@ def test_validate_fills_defaults():
     cfg = validate_params(problem, SolverConfig("pdfb"))
     assert cfg.tau == 1.0
     assert cfg.sigma * cfg.tau < 1.0 / problem.stack.norm_sq_bound()
+    cfg = validate_params(problem, SolverConfig("admm", rho=2.0))
+    assert cfg.gamma == pytest.approx(1.9 / (
+        problem.smooth.lipschitz + 4.0 * problem.stack.norm_sq_bound()))
+    assert cfg.rho == 2.0 and cfg.lam is None and cfg.inner_iters == 1
 
 
 def test_validate_rejects_boundary_gamma():
@@ -170,6 +174,37 @@ def test_config_rejects_non_integer_counts():
     cfg = SolverConfig("dfb", max_outer=np.int64(3), inner_iters=np.int32(2))
     report = solve_dfb(tv_denoise_problem(FOUR_PIXEL_B), cfg)
     assert report.outer_iters == 3
+
+
+# Every (algorithm, SolverConfig field it does not read), with a value away
+# from the field's default.
+UNREAD = [("dfb", "sigma", 0.1), ("dfb", "tau", 2.0), ("dfb", "rho", 7.0),
+          ("pdfb", "lam", 0.5), ("pdfb", "rho", 7.0),
+          ("pdfb", "convergence_mode", "relaxed-finite"),
+          ("admm", "lam", 0.5), ("admm", "sigma", 0.1), ("admm", "tau", 2.0),
+          ("admm", "inner_iters", 3),
+          ("admm", "convergence_mode", "relaxed-finite")]
+
+
+def test_unread_list_is_the_complement_of_options():
+    fields = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert sorted((a, f) for a, f, _ in UNREAD) == sorted(
+        (a, f) for a, reads in OPTIONS.items() for f in fields
+        if f not in reads + ("algorithm", "max_outer", "eps"))
+
+
+@pytest.mark.parametrize("algorithm, name, value", UNREAD)
+def test_config_rejects_a_field_its_algorithm_does_not_read(algorithm, name,
+                                                            value):
+    with pytest.raises(ParameterError, match=name):
+        SolverConfig(algorithm, **{name: value})
+
+
+def test_config_accepts_defaults_in_fields_it_does_not_read():
+    SolverConfig("dfb", sigma=None, tau=None, rho=1.0)
+    SolverConfig("pdfb", lam=None, rho=1.0, convergence_mode="strict-weak")
+    SolverConfig("admm", lam=None, sigma=None, tau=None, inner_iters=1,
+                 convergence_mode="strict-weak")
 
 
 def test_validate_admm_gamma_bound():
@@ -682,7 +717,7 @@ def test_fixed_point_stays_fixed():
                          sigma=0.5 / problem.stack.norm_sq_bound(),
                          max_outer=100, eps=1e-300)
     xs = capture_iterates(solve_pdfb, problem, cfg_p, x0=x0,
-                          y0=[gamma * y_star], xbar0=x0)
+                          y0=[gamma * y_star])
     assert all(np.linalg.norm(x - x_star) <= 1e-8 for x in xs)
 
 
