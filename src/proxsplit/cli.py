@@ -17,11 +17,12 @@ Config keys (defaults in parentheses):
 
 The <algo>.* keys are those of the SolverConfig fields solvers.OPTIONS lists
 for the algorithm.  Any other key (so a setting an algorithm does not read,
-such as admm.lambda), and a value no problem admits (a step or rho <= 0,
-run.max_outer or inner_iters < 1, a noise variance or lambda that is
-negative or not finite), is a usage error; a step outside its convergence
-bound for the scene is a solver failure.  Exit codes: 0 ok, 1 solver
-failure, 2 usage error.
+such as admm.lambda), a value no problem admits (a step, rho or eps that is
+not finite and positive, run.max_outer or inner_iters < 1, a noise variance
+or lambda that is negative or not finite), and two runs that would write
+the same files (one algorithm, eps equal in %g) are usage errors; a step
+outside its convergence bound for the scene is a solver failure.  Exit
+codes: 0 ok, 1 solver failure, 2 usage error.
 """
 
 import argparse
@@ -119,7 +120,15 @@ def build_runspec(cfg, out_override=None, seed_override=None):
                                             eps=eps, **solver_args))
             except ParameterError as exc:
                 raise ConfigError(f"bad {algo} settings: {exc}")
+    tags = [_tag(c.algorithm, c.eps) for c in configs]
+    shared = sorted({t for t in tags if tags.count(t) > 1})
+    if shared:
+        raise ConfigError(f"runs share output file tag(s) {shared}")
     return scene, configs, out_dir
+
+
+def _tag(algorithm, eps):
+    return f"{algorithm}_eps{eps:g}"
 
 
 def _fmt(v):
@@ -159,7 +168,7 @@ def run(config_path, out_override=None, seed_override=None):
             row["algorithm"], _fmt(row["eps"]), _fmt(row["snr_db"]),
             _fmt(row["nmsd"]), str(row["iterations"]),
             _fmt(row["final_objective"]), row["terminated_by"]]))
-        tag = f"{row['algorithm']}_eps{row['eps']:g}"
+        tag = _tag(row["algorithm"], row["eps"])
         report = row["report"]
         trace_lines = ["iteration,objective,snr_db,residual"]
         for i, res in enumerate(report.residual_trace, start=1):

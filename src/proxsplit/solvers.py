@@ -18,7 +18,9 @@ Step-size validation enforces the strict inequalities required for
 convergence.  One driver runs every solver: it keeps the objective,
 residual and metric traces, stops on a non-finite iterate, and stops at the
 first iteration whose relative change ||x+ - x|| / ||x|| drops below the
-configured tolerance.
+configured tolerance.  The iterations need no objective value, so the
+driver evaluates the objective at every iterate only when a ``metric_fn``
+is traced; otherwise at the start point and the returned iterate alone.
 """
 
 import dataclasses
@@ -151,24 +153,29 @@ class SolverConfig:
             raise ParameterError(
                 f"unknown convergence_mode {self.convergence_mode!r}; "
                 f"valid: {MODES}")
-        if not self.eps > 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
         for name in ("inner_iters", "max_outer"):
             count = getattr(self, name)
             if not (isinstance(count, numbers.Integral) and count >= 1):
                 raise ParameterError(
                     f"{name} must be an integer >= 1, got {count}")
-        if not self.rho > 0:
-            raise ParameterError(
-                f"penalty rho must be positive, got {self.rho}")
-        for name in ("gamma", "lam", "sigma", "tau"):
-            step = getattr(self, name)
-            if step is not None and not step > 0:
-                raise ParameterError(f"{name} must be positive, got {step}")
+        for name in ("eps", "rho", "gamma", "lam", "sigma", "tau"):
+            value = getattr(self, name)
+            if (value is not None or name in ("eps", "rho")) \
+                    and not 0 < value < np.inf:
+                raise ParameterError(
+                    f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
 class SolveReport:
+    """What a solve did.
+
+    ``residual_trace[k-1]`` is the relative change of outer iteration k.
+    With a ``metric_fn``, ``objective_trace`` and ``metric_trace`` hold one
+    entry per iterate, the start point first; without one,
+    ``objective_trace`` is ``[f(x0), f(x_final)]`` and ``metric_trace`` is
+    empty.
+    """
     x_final: np.ndarray
     outer_iters: int
     objective_trace: list
@@ -310,26 +317,31 @@ def _validate(problem, config, algorithm):
 def _iterate(cfg, iterates, metric_fn, notes=""):
     """Run a solver's iterates to the stopping rule and report.
 
-    ``iterates`` yields ``(x, objective at x)``: the starting point first,
-    then one pair per outer iteration.
+    ``iterates`` yields ``(x, objective_at_x)``, where ``objective_at_x()``
+    evaluates the objective at x: the starting point first, then one pair
+    per outer iteration.  The objective is evaluated at every iterate when
+    ``metric_fn`` traces one, else only at the start and the returned
+    iterate, since the stopping rule does not read it.
     """
-    x, obj = next(iterates)
-    obj_trace, res_trace = [obj], []
+    x, objective_at_x = next(iterates)
+    obj_trace, res_trace = [objective_at_x()], []
     metric_trace = [] if metric_fn is None else [metric_fn(x)]
     termination = "max-iters"
     k = 0
     for k in range(1, cfg.max_outer + 1):
-        x_new, obj = next(iterates)
+        x_new, objective_at_x = next(iterates)
         _check_finite(x_new, k)
         res = _residual(x_new, x)
         x = x_new
         res_trace.append(res)
-        obj_trace.append(obj)
         if metric_fn is not None:
+            obj_trace.append(objective_at_x())
             metric_trace.append(metric_fn(x))
         if res < cfg.eps:
             termination = "tolerance-met"
             break
+    if metric_fn is None:
+        obj_trace.append(objective_at_x())
     return SolveReport(x, k, obj_trace, res_trace, termination,
                        metric_trace, notes)
 
@@ -341,7 +353,7 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
     gamma, lam = cfg.gamma, cfg.lam
 
     def iterates(x, ys):
-        yield x, objective(problem, x)
+        yield x, lambda x=x: objective(problem, x)
         # sum_i w_i B_i^T y_i of the current duals: the final step of one
         # outer iteration and the first inner step of the next use the same
         # ys.
@@ -355,7 +367,7 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
                 ys = stack.stacked_conjugate_prox(args, lam / gamma)
                 bty = stack.combined_adjoint(ys)
             x = g.prox(u - gamma * bty, gamma)
-            yield x, objective(problem, x)
+            yield x, lambda x=x: objective(problem, x)
 
     notes = ("finite-dimensional convergence only"
              if cfg.convergence_mode == "relaxed-finite" else "")
@@ -371,7 +383,7 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
     step_g = tau * gamma / (1.0 + tau)
 
     def iterates(x, ys):
-        yield x, objective(problem, x)
+        yield x, lambda x=x: objective(problem, x)
         while True:
             u = x - gamma * problem.smooth.gradient(x)
             for _ in range(cfg.inner_iters):
@@ -384,7 +396,7 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
                 ys = [gamma * yi for yi in
                       stack.stacked_conjugate_prox(args, sigma / gamma)]
                 x = x_new
-            yield x, objective(problem, x)
+            yield x, lambda x=x: objective(problem, x)
 
     return _iterate(cfg, iterates(_start(x0, problem.dim),
                                   _init_duals(stack, y0)), metric_fn)
@@ -408,7 +420,7 @@ def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
         # B x of the current iterate, shared by the objective, the next
         # x-step and the y- and v-steps.
         bxs = stack.apply_blocks(x)
-        yield x, _objective(problem, x, bxs)
+        yield x, lambda x=x, bxs=bxs: _objective(problem, x, bxs)
         while True:
             aug = stack.combined_adjoint(
                 [bx - y + v for bx, y, v in zip(bxs, ys, vs)])
@@ -418,7 +430,7 @@ def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
             ys = stack.stacked_prox(
                 [bx + v for bx, v in zip(bxs, vs)], 1.0 / rho)
             vs = [v + bx - y for v, bx, y in zip(vs, bxs, ys)]
-            yield x, _objective(problem, x, bxs)
+            yield x, lambda x=x, bxs=bxs: _objective(problem, x, bxs)
 
     return _iterate(cfg, iterates(_start(x0, problem.dim),
                                   _init_duals(stack, y0),

@@ -217,13 +217,26 @@ def test_run_non_finite_scene_value_is_usage_error(tmp_path, capsys, key,
 
 @pytest.mark.parametrize("algo, line", [
     ("dfb", "run.max_outer = 0"), ("dfb", "dfb.lambda = -1"),
-    ("pdfb", "pdfb.inner_iters = 0"), ("admm", "admm.rho = 0")])
+    ("pdfb", "pdfb.inner_iters = 0"), ("admm", "admm.rho = 0"),
+    ("dfb", "run.eps = inf"), ("pdfb", "pdfb.tau = inf"),
+    ("admm", "admm.rho = inf")])
 def test_run_bad_solver_value_is_usage_error(tmp_path, capsys, algo, line):
     text = BASE_CONFIG.replace("run.solvers = dfb", f"run.solvers = {algo}")
     cfg = write_config(tmp_path, text + line + "\n")
     assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) \
         == cli.EXIT_USAGE
     assert algo in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "run.solvers = dfb,dfb", "run.eps = 1e-3,1.0000001e-3"])
+def test_run_sharing_output_files_is_usage_error(tmp_path, capsys, line):
+    # both runs would write trace_dfb_eps0.001.csv and recon_dfb_eps0.001.pgm
+    cfg = write_config(tmp_path, BASE_CONFIG + line + "\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) \
+        == cli.EXIT_USAGE
+    assert "dfb_eps0.001" in capsys.readouterr().err
     assert not (tmp_path / "results.csv").exists()
 
 

@@ -176,6 +176,16 @@ def test_config_rejects_non_integer_counts():
     assert report.outer_iters == 3
 
 
+@pytest.mark.parametrize("algorithm, name, value", [
+    ("dfb", "eps", np.inf), ("dfb", "eps", np.nan), ("dfb", "gamma", np.inf),
+    ("dfb", "lam", np.inf), ("pdfb", "sigma", np.inf), ("pdfb", "tau", np.inf),
+    ("admm", "rho", np.inf), ("admm", "rho", np.nan)])
+def test_config_rejects_non_finite_settings(algorithm, name, value):
+    with pytest.raises(ParameterError, match=f"{name} must be positive and "
+                                             f"finite"):
+        SolverConfig(algorithm, **{name: value})
+
+
 # Every (algorithm, SolverConfig field it does not read), with a value away
 # from the field's default.
 UNREAD = [("dfb", "sigma", 0.1), ("dfb", "tau", 2.0), ("dfb", "rho", 7.0),
@@ -348,7 +358,9 @@ def test_dfb_objective_trace_finite_after_first_iteration():
     problem = CompositeProblem(
         least_squares_smooth(b), prox.BoxIndicator(3, 0.0, np.inf),
         BlockStack([(linops.first_difference(3), prox.L1Norm(3))]))
-    rep = solve_dfb(problem, SolverConfig("dfb", max_outer=20, eps=1e-300))
+    rep = solve_dfb(problem, SolverConfig("dfb", max_outer=20, eps=1e-300),
+                    metric_fn=lambda x: 0.0)
+    assert len(rep.objective_trace) == 21
     assert all(np.isfinite(v) for v in rep.objective_trace[1:])
 
 
@@ -639,11 +651,11 @@ def test_admm_rejects_wrong_length_starting_duals():
         solve_admm(problem, cfg, v0=[np.zeros(6)])
 
 
-def per_iteration_counts(solve, problem, cfg, ops):
+def per_iteration_counts(solve, problem, cfg, ops, **kw):
     """(applies, adjoints) per outer iteration of each operator in ops."""
     def run(iters):
         before = [op.counts() for op in ops]
-        solve(problem, dataclasses.replace(cfg, max_outer=iters))
+        solve(problem, dataclasses.replace(cfg, max_outer=iters), **kw)
         return [np.subtract(op.counts(), c) for op, c in zip(ops, before)]
     solve(problem, cfg)         # norms are computed once, here
     short, long = run(2), run(5)
@@ -651,11 +663,8 @@ def per_iteration_counts(solve, problem, cfg, ops):
             for sh, lo in zip(short, long)]
 
 
-def test_matvecs_per_iteration():
-    # dfb and pdfb: A and A^T for the gradient (the objective's Ax is
-    # reused), one D for the dual step, one D^T for both blocks, one D
-    # for the objective.  ADMM: A^T, one fused D^T, one D (shared by the
-    # y-step and the objective), one A.
+def counted_problem():
+    """A data term on A and two blocks sharing D, both operators counted."""
     rng = np.random.default_rng(54)
     n = 9
     A = CountingOperator(linops.dense(rng.standard_normal((12, n))))
@@ -665,13 +674,53 @@ def test_matvecs_per_iteration():
         quadratic_data_term(A, b), prox.BoxIndicator(n),
         BlockStack([(D, prox.L1Norm(2 * n)),
                     (D, prox.Scaled(prox.L1Norm(2 * n), 0.5))]))
-    for solve, problem, algo, want in [
-            (solve_dfb, composite, "dfb", [(1, 1), (2, 1)]),
-            (solve_pdfb, composite, "pdfb", [(1, 1), (2, 1)]),
-            (solve_admm, composite, "admm", [(1, 1), (1, 1)])]:
-        cfg = SolverConfig(algo, max_outer=1, eps=1e-300)
-        assert per_iteration_counts(solve, problem, cfg, [A, D]) == want, \
-            algo
+    return composite, A, D
+
+
+def test_matvecs_per_iteration():
+    # dfb and pdfb: A and A^T for the gradient, one D for the dual step,
+    # one D^T for both blocks, and, only when a metric is traced, one D for
+    # the objective (its Ax is the gradient's).  ADMM: A^T, one fused D^T,
+    # one D (shared by the y-step and any objective), one A.
+    composite, A, D = counted_problem()
+    for traced in (False, True):
+        kw = {"metric_fn": lambda x: 0.0} if traced else {}
+        d = (2, 1) if traced else (1, 1)
+        for solve, algo, want in [
+                (solve_dfb, "dfb", [(1, 1), d]),
+                (solve_pdfb, "pdfb", [(1, 1), d]),
+                (solve_admm, "admm", [(1, 1), (1, 1)])]:
+            cfg = SolverConfig(algo, max_outer=1, eps=1e-300)
+            assert per_iteration_counts(solve, composite, cfg, [A, D],
+                                        **kw) == want, (algo, traced)
+
+
+@pytest.mark.parametrize("algorithm", ["dfb", "pdfb", "admm"])
+def test_objective_is_traced_only_with_a_metric(algorithm):
+    # The objective costs products the iteration does not need, so it is
+    # evaluated at every iterate only when a metric is traced; the iterates,
+    # the stop and the residuals must not depend on it.
+    problem, *_ = counted_problem()
+    solve = SOLVERS[algorithm]
+    cfg = SolverConfig(algorithm, max_outer=400, eps=1e-5)
+    x0 = np.full(problem.dim, 0.5)
+    traced = solve(problem, cfg, x0=x0, metric_fn=lambda x: x.copy())
+    plain = solve(problem, cfg, x0=x0)
+    assert traced.termination == plain.termination == "tolerance-met"
+    assert traced.outer_iters == plain.outer_iters
+    assert np.array_equal(traced.x_final, plain.x_final)
+    assert traced.residual_trace == plain.residual_trace
+    assert plain.metric_trace == []
+    xs = traced.metric_trace
+    assert len(xs) == traced.outer_iters + 1
+    assert np.array_equal(xs[0], x0) and np.array_equal(xs[-1],
+                                                        traced.x_final)
+    assert plain.residual_trace == [
+        np.linalg.norm(x - x_old) / np.linalg.norm(x_old)
+        for x_old, x in zip(xs, xs[1:])]
+    assert traced.objective_trace == [objective(problem, x) for x in xs]
+    assert plain.objective_trace == [objective(problem, x0),
+                                     objective(problem, plain.x_final)]
 
 
 def test_weighted_unweighted_equivalence():
