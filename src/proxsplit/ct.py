@@ -228,11 +228,21 @@ def _check_pair(x, x_r):
 def snr(x, x_r):
     """10 log10(||x - mean(x)||^2 / ||x_r - x||^2) in dB; +inf if exact."""
     x, x_r, power = _check_pair(x, x_r)
-    err = x_r - x
+    return _snr_db(power, x_r - x)
+
+
+def _snr_db(power, err):
     err_sq = float(err @ err)
     if err_sq == 0.0:
         return np.inf
     return 10.0 * math.log10(power / err_sq)
+
+
+def _snr_metric(x):
+    """The map x_r -> snr(x, x_r) for iterates x_r of x's length, with the
+    reference's checks and centred power made once."""
+    x, _, power = _check_pair(x, x)
+    return lambda x_r: _snr_db(power, x_r - x)
 
 
 def nmsd(x, x_r):
@@ -302,6 +312,7 @@ def run_experiment(scene, configs):
     """
     instance = build_instance(scene)
     composite = instance.composite()
+    metric = _snr_metric(instance.phantom)
     # Looked up per call, not at import, so a solver rebound on this module
     # is the one that runs.
     solvers = {"dfb": solve_dfb, "pdfb": solve_pdfb, "admm": solve_admm}
@@ -310,7 +321,7 @@ def run_experiment(scene, configs):
         row = {"algorithm": cfg.algorithm, "eps": cfg.eps}
         try:
             report = solvers[cfg.algorithm](
-                composite, cfg, metric_fn=lambda x: snr(instance.phantom, x))
+                composite, cfg, metric_fn=metric)
         except (ProxsplitError, FloatingPointError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)

@@ -100,7 +100,8 @@ class BoxIndicator(ProxTerm):
 
     def value(self, x):
         x = self._check(x)
-        if np.all(x >= self.lo) and np.all(x <= self.hi):
+        # two reductions, no temporaries; a NaN fails both comparisons
+        if self.lo <= x.min() and x.max() <= self.hi:
             return 0.0
         return np.inf
 

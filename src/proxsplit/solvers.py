@@ -21,6 +21,10 @@ first iteration whose relative change ||x+ - x|| / ||x|| drops below the
 configured tolerance.  The iterations need no objective value, so the
 driver evaluates the objective at every iterate only when a ``metric_fn``
 is traced; otherwise at the start point and the returned iterate alone.
+
+dfb and pdfb carry each dual divided by its dual step, as Chambolle & Pock
+(2011) and Condat (2013) write them, so no dual step rescales a full-length
+vector; their ``y0`` is taken unscaled.
 """
 
 import dataclasses
@@ -160,10 +164,13 @@ class SolverConfig:
                     f"{name} must be an integer >= 1, got {count}")
         for name in ("eps", "rho", "gamma", "lam", "sigma", "tau"):
             value = getattr(self, name)
-            if (value is not None or name in ("eps", "rho")) \
-                    and not 0 < value < np.inf:
+            if value is None and name not in ("eps", "rho"):
+                continue
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Real) \
+                    or not 0 < value < np.inf:
                 raise ParameterError(
-                    f"{name} must be positive and finite, got {value}")
+                    f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -287,9 +294,11 @@ def _check_finite(x, k):
 
 
 def _residual(x_new, x_old):
+    """||x_new - x_old|| / ||x_old|| (the absolute change when x_old = 0),
+    as a Python float; not finite whenever the change norm is not."""
     denom = np.linalg.norm(x_old)
     change = np.linalg.norm(x_new - x_old)
-    return change / denom if denom > 0 else change
+    return float(change / denom if denom > 0 else change)
 
 
 def _start(v, size):
@@ -299,10 +308,12 @@ def _start(v, size):
     return np.asarray(v, dtype=float).ravel().copy()
 
 
-def _init_duals(stack, y0):
+def _init_duals(stack, y0, scale=1.0):
+    """Private copies of the starting duals divided by ``scale``; zeros
+    when none are given."""
     if y0 is None:
         return [np.zeros(op.rows) for op, _ in stack.blocks]
-    return [y.copy() for y in stack._check_ys(y0)]
+    return [y / scale for y in stack._check_ys(y0)]
 
 
 def _validate(problem, config, algorithm):
@@ -321,7 +332,9 @@ def _iterate(cfg, iterates, metric_fn, notes=""):
     evaluates the objective at x: the starting point first, then one pair
     per outer iteration.  The objective is evaluated at every iterate when
     ``metric_fn`` traces one, else only at the start and the returned
-    iterate, since the stopping rule does not read it.
+    iterate, since the stopping rule does not read it.  An iterate is
+    checked for non-finite entries only when its change is not finite:
+    the previous iterate is finite, so a non-finite one always shows there.
     """
     x, objective_at_x = next(iterates)
     obj_trace, res_trace = [objective_at_x()], []
@@ -330,8 +343,9 @@ def _iterate(cfg, iterates, metric_fn, notes=""):
     k = 0
     for k in range(1, cfg.max_outer + 1):
         x_new, objective_at_x = next(iterates)
-        _check_finite(x_new, k)
         res = _residual(x_new, x)
+        if not np.isfinite(res):
+            _check_finite(x_new, k)
         x = x_new
         res_trace.append(res)
         if metric_fn is not None:
@@ -347,59 +361,84 @@ def _iterate(cfg, iterates, metric_fn, notes=""):
 
 
 def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
-    """Dual forward-backward splitting (weighted or unweighted stack)."""
+    """Dual forward-backward splitting (weighted or unweighted stack).
+
+    With t = lam / gamma, the duals y_i are carried as z_i = y_i / t; an
+    outer step sets u = x - gamma grad f(x), makes ``inner_iters`` steps
+
+        v   = prox_{gamma g}(u - lam sum_i w_i B_i^T z_i)
+        w_i = z_i + B_i v
+        z_i = w_i - prox_{h_i / (t w_i)}(w_i)
+
+    (the last is y+ = prox_{t h*}(y + t B v) by Moreau's identity), and
+    ends with x+ = prox_{gamma g}(u - lam sum_i w_i B_i^T z_i).  ``y0`` is
+    given unscaled.
+    """
     cfg = _validate(problem, config, "dfb")
     stack, g = problem.stack, problem.simple
     gamma, lam = cfg.gamma, cfg.lam
+    t = lam / gamma
 
-    def iterates(x, ys):
+    def iterates(x, zs):
         yield x, lambda x=x: objective(problem, x)
-        # sum_i w_i B_i^T y_i of the current duals: the final step of one
+        # sum_i w_i B_i^T z_i of the current duals: the final step of one
         # outer iteration and the first inner step of the next use the same
-        # ys.
-        bty = stack.combined_adjoint(ys)
+        # zs.
+        btz = stack.combined_adjoint(zs)
         while True:
             u = x - gamma * problem.smooth.gradient(x)
             for _ in range(cfg.inner_iters):
-                v = g.prox(u - gamma * bty, gamma)
-                args = [y + (lam / gamma) * bv
-                        for y, bv in zip(ys, stack.apply_blocks(v))]
-                ys = stack.stacked_conjugate_prox(args, lam / gamma)
-                bty = stack.combined_adjoint(ys)
-            x = g.prox(u - gamma * bty, gamma)
+                v = g.prox(u - lam * btz, gamma)
+                ws = [z + bv for z, bv in zip(zs, stack.apply_blocks(v))]
+                zs = [w - p for w, p in
+                      zip(ws, stack.stacked_prox(ws, 1.0 / t))]
+                btz = stack.combined_adjoint(zs)
+            x = g.prox(u - lam * btz, gamma)
             yield x, lambda x=x: objective(problem, x)
 
     notes = ("finite-dimensional convergence only"
              if cfg.convergence_mode == "relaxed-finite" else "")
     return _iterate(cfg, iterates(_start(x0, problem.dim),
-                                  _init_duals(stack, y0)), metric_fn, notes)
+                                  _init_duals(stack, y0, t)), metric_fn, notes)
 
 
 def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
-    """Primal-dual forward-backward splitting."""
+    """Primal-dual forward-backward splitting.
+
+    The duals y_i are carried as z_i = y_i / sigma; an outer step sets
+    u = x - gamma grad f(x) and makes ``inner_iters`` steps
+
+        x+  = prox_{tau gamma g / (1 + tau)}((x - tau sigma
+                  sum_i w_i B_i^T z_i + tau u) / (1 + tau))
+        w_i = z_i + B_i (2 x+ - x)
+        z_i = w_i - prox_{gamma h_i / (sigma w_i)}(w_i)
+
+    (the last is y+ = gamma prox_{(sigma/gamma) h*}((y + sigma B (2 x+ - x))
+    / gamma) by Moreau's identity applied to gamma h).  ``y0`` is given
+    unscaled.
+    """
     cfg = _validate(problem, config, "pdfb")
     stack, g = problem.stack, problem.simple
     gamma, sigma, tau = cfg.gamma, cfg.sigma, cfg.tau
     step_g = tau * gamma / (1.0 + tau)
 
-    def iterates(x, ys):
+    def iterates(x, zs):
         yield x, lambda x=x: objective(problem, x)
         while True:
             u = x - gamma * problem.smooth.gradient(x)
             for _ in range(cfg.inner_iters):
-                arg = (x - tau * stack.combined_adjoint(ys) + tau * u) \
-                    / (1.0 + tau)
+                arg = (x - (tau * sigma) * stack.combined_adjoint(zs)
+                       + tau * u) / (1.0 + tau)
                 x_new = g.prox(arg, step_g)
-                z = 2.0 * x_new - x
-                args = [(y + sigma * bz) / gamma
-                        for y, bz in zip(ys, stack.apply_blocks(z))]
-                ys = [gamma * yi for yi in
-                      stack.stacked_conjugate_prox(args, sigma / gamma)]
+                ws = [z + bz for z, bz in
+                      zip(zs, stack.apply_blocks(2.0 * x_new - x))]
+                zs = [w - p for w, p in
+                      zip(ws, stack.stacked_prox(ws, gamma / sigma))]
                 x = x_new
             yield x, lambda x=x: objective(problem, x)
 
     return _iterate(cfg, iterates(_start(x0, problem.dim),
-                                  _init_duals(stack, y0)), metric_fn)
+                                  _init_duals(stack, y0, sigma)), metric_fn)
 
 
 def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
@@ -427,9 +466,9 @@ def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
             grad = problem.smooth.gradient(x) + rho * aug
             x = g.prox(x - gamma * grad, gamma)
             bxs = stack.apply_blocks(x)
-            ys = stack.stacked_prox(
-                [bx + v for bx, v in zip(bxs, vs)], 1.0 / rho)
-            vs = [v + bx - y for v, bx, y in zip(vs, bxs, ys)]
+            ss = [v + bx for v, bx in zip(vs, bxs)]
+            ys = stack.stacked_prox(ss, 1.0 / rho)
+            vs = [s - y for s, y in zip(ss, ys)]
             yield x, lambda x=x, bxs=bxs: _objective(problem, x, bxs)
 
     return _iterate(cfg, iterates(_start(x0, problem.dim),

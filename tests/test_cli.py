@@ -166,6 +166,21 @@ def test_run_trace_has_one_row_per_iteration(tmp_path):
     assert len(trace) == iterations + 1
 
 
+def test_run_trace_fields_are_numbers(tmp_path):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace(
+        "run.solvers = dfb", "run.solvers = dfb,pdfb,admm"))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    for algo in ("dfb", "pdfb", "admm"):
+        rows = (out / f"trace_{algo}_eps0.001.csv").read_text().splitlines()
+        assert len(rows) > 1
+        for row in rows[1:]:
+            fields = row.split(",")
+            assert len(fields) == 4
+            for field in fields:
+                float(field)
+
+
 def test_run_is_byte_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

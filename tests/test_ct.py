@@ -227,6 +227,18 @@ def test_snr_nmsd_consistency():
             -20.0 * math.log10(ct.nmsd(x, x_r)), abs=1e-10)
 
 
+def test_snr_metric_matches_snr_bit_for_bit():
+    rng = np.random.default_rng(62)
+    for _ in range(20):
+        x = rng.standard_normal(50)
+        metric = ct._snr_metric(x)
+        for x_r in (x + rng.standard_normal(50) * 0.1,
+                    rng.standard_normal(50)):
+            assert metric(x_r) == ct.snr(x, x_r)
+    phantom = ct.shepp_logan(8)
+    assert ct._snr_metric(phantom)(phantom) == np.inf
+
+
 # ---------------------------------------------------------------- composite
 
 
@@ -331,6 +343,17 @@ def test_run_experiment_rows_are_table_shaped():
     assert row["algorithm"] == "dfb"
     assert row["snr_db"] == pytest.approx(
         -20.0 * math.log10(row["nmsd"]), abs=1e-10)
+
+
+def test_run_experiment_traces_snr_of_each_iterate():
+    scene = small_scene()
+    (row,) = ct.run_experiment(
+        scene, [SolverConfig("dfb", eps=1e-300, max_outer=5)])
+    phantom = ct.build_instance(scene).phantom
+    report = row["report"]
+    assert len(report.metric_trace) == 6
+    assert report.metric_trace[-1] == ct.snr(phantom, report.x_final)
+    assert report.metric_trace[-1] == row["snr_db"]
 
 
 def test_run_experiment_is_deterministic():

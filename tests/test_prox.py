@@ -116,6 +116,16 @@ def test_project_box_rejects_empty_box():
         prox.BoxIndicator(1, 2.0, 1.0)
 
 
+def test_box_indicator_value_at_bounds_outside_and_nan():
+    f = prox.BoxIndicator(3, -1.0, 2.0)
+    assert f.value([-1.0, 0.5, 2.0]) == 0.0
+    assert f.value([-1.0, 0.5, 2.0 + 1e-15]) == np.inf
+    assert f.value([-1.0 - 1e-15, 0.5, 2.0]) == np.inf
+    assert f.value([0.0, np.nan, 1.0]) == np.inf
+    assert prox.BoxIndicator(2, -np.inf, np.inf).value([np.nan, 0.0]) == np.inf
+    assert prox.BoxIndicator(2).value([0.0, np.inf]) == 0.0
+
+
 def test_box_indicator_prox_independent_of_step():
     f = prox.BoxIndicator(2, 0.0, 1.0)
     u = np.array([-0.5, 3.0])

@@ -179,7 +179,9 @@ def test_config_rejects_non_integer_counts():
 @pytest.mark.parametrize("algorithm, name, value", [
     ("dfb", "eps", np.inf), ("dfb", "eps", np.nan), ("dfb", "gamma", np.inf),
     ("dfb", "lam", np.inf), ("pdfb", "sigma", np.inf), ("pdfb", "tau", np.inf),
-    ("admm", "rho", np.inf), ("admm", "rho", np.nan)])
+    ("admm", "rho", np.inf), ("admm", "rho", np.nan),
+    ("dfb", "eps", None), ("admm", "rho", None), ("dfb", "gamma", "1"),
+    ("pdfb", "sigma", True)])
 def test_config_rejects_non_finite_settings(algorithm, name, value):
     with pytest.raises(ParameterError, match=f"{name} must be positive and "
                                              f"finite"):
@@ -375,6 +377,52 @@ def test_dfb_divergence_detection():
         solve_dfb(bad, SolverConfig("dfb", max_outer=100, eps=1e-12))
 
 
+def injecting_problem(k, bad):
+    """A 4-pixel problem whose gradient is the constant ``bad`` at its k-th
+    call (outer iteration k of every solver) and x - b otherwise."""
+    problem = tv_denoise_problem(FOUR_PIXEL_B)
+    calls = [0]
+
+    def gradient(x):
+        calls[0] += 1
+        return np.full(4, bad) if calls[0] == k else x - FOUR_PIXEL_B
+
+    smooth = SmoothTerm(problem.smooth.value, gradient,
+                        problem.smooth.lipschitz)
+    return CompositeProblem(smooth, problem.simple, problem.stack)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solver", [solve_dfb, solve_pdfb, solve_admm])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_iterate_raises_at_its_iteration(solver, bad):
+    algorithm = solver.__name__.removeprefix("solve_")
+    cfg = SolverConfig(algorithm, max_outer=20, eps=1e-300)
+    with pytest.raises(DivergenceError) as info:
+        solver(injecting_problem(7, bad), cfg)
+    assert info.value.iteration == 7
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solver", [solve_dfb, solve_pdfb, solve_admm])
+def test_finite_iterate_with_overflowing_change_does_not_raise(solver):
+    # the change norm of an iterate near 1e200 overflows to inf, yet every
+    # entry is finite, so the solve goes on
+    algorithm = solver.__name__.removeprefix("solve_")
+    cfg = SolverConfig(algorithm, max_outer=7, eps=1e-300)
+    rep = solver(injecting_problem(7, -1e200), cfg)
+    assert rep.outer_iters == 7
+    assert rep.residual_trace[-1] == np.inf
+    assert np.all(np.isfinite(rep.x_final))
+    assert np.abs(rep.x_final).max() > 1e199
+
+
+def test_residual_trace_holds_python_floats():
+    rep = solve_dfb(tv_denoise_problem(FOUR_PIXEL_B),
+                    SolverConfig("dfb", max_outer=5, eps=1e-300))
+    assert [type(r) for r in rep.residual_trace] == [float] * 5
+
+
 def test_dfb_relaxed_mode_is_flagged_in_report():
     problem = tv_denoise_problem(FOUR_PIXEL_B)
     S = problem.stack.norm_sq_bound()
@@ -523,6 +571,15 @@ def shared_operator_problem(weights=None):
     return problem, b, B, terms
 
 
+def warm_starts(seed):
+    """A cold start and a warm one (nonzero x0 and unscaled duals y0) for
+    the shared-operator problem."""
+    rng = np.random.default_rng(seed)
+    return [{"x0": None, "y0": None},
+            {"x0": rng.standard_normal(6),
+             "y0": [rng.standard_normal(6) for _ in range(2)]}]
+
+
 @pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
 def test_dfb_inner_iterations_reproduce_direct_scheme(weights):
     problem, b, B, terms = shared_operator_problem(weights)
@@ -532,22 +589,25 @@ def test_dfb_inner_iterations_reproduce_direct_scheme(weights):
     lam = 0.5 / problem.stack.norm_sq_bound()
     cfg = SolverConfig("dfb", gamma=gamma, lam=lam, inner_iters=3,
                        max_outer=10, eps=1e-300)
-    iterates = capture_iterates(solve_dfb, problem, cfg)
 
     def bty(ys):
         return sum(wi * B.adjoint_apply(y) for wi, y in zip(w, ys))
 
-    x, ys = np.zeros(6), [np.zeros(6), np.zeros(6)]
-    for k in range(10):
-        u = x - gamma * (x - b)
-        for _ in range(3):
-            v = g.prox(u - gamma * bty(ys), gamma)
-            ys = [prox_weighted_conjugate(
-                      h, wi, y + (lam / gamma) * B.apply(v), lam / gamma)
-                  for h, wi, y in zip(terms, w, ys)]
-        x = g.prox(u - gamma * bty(ys), gamma)
-        err = np.linalg.norm(iterates[k + 1] - x)
-        assert err <= 1e-12 * (1 + np.linalg.norm(x))
+    for start in warm_starts(55):
+        iterates = capture_iterates(solve_dfb, problem, cfg, **start)
+
+        x = np.zeros(6) if start["x0"] is None else start["x0"].copy()
+        ys = start["y0"] or [np.zeros(6), np.zeros(6)]
+        for k in range(10):
+            u = x - gamma * (x - b)
+            for _ in range(3):
+                v = g.prox(u - gamma * bty(ys), gamma)
+                ys = [prox_weighted_conjugate(
+                          h, wi, y + (lam / gamma) * B.apply(v), lam / gamma)
+                      for h, wi, y in zip(terms, w, ys)]
+            x = g.prox(u - gamma * bty(ys), gamma)
+            err = np.linalg.norm(iterates[k + 1] - x)
+            assert err <= 1e-12 * (1 + np.linalg.norm(x))
 
 
 @pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
@@ -559,24 +619,28 @@ def test_pdfb_inner_iterations_reproduce_direct_scheme(weights):
     sigma = 0.9 / (tau * problem.stack.norm_sq_bound())
     cfg = SolverConfig("pdfb", gamma=gamma, sigma=sigma, tau=tau,
                        inner_iters=3, max_outer=10, eps=1e-300)
-    iterates = capture_iterates(solve_pdfb, problem, cfg)
 
-    x, ys = np.zeros(6), [np.zeros(6), np.zeros(6)]
-    xbar = x.copy()
-    for k in range(10):
-        u = x - gamma * (x - b)
-        for _ in range(3):
-            bty = sum(wi * B.adjoint_apply(y) for wi, y in zip(w, ys))
-            xbar_new = g.prox((xbar - tau * bty + tau * u) / (1.0 + tau),
-                              tau * gamma / (1.0 + tau))
-            z = 2.0 * xbar_new - xbar
-            ys = [gamma * prox_weighted_conjugate(
-                      h, wi, (y + sigma * B.apply(z)) / gamma, sigma / gamma)
-                  for h, wi, y in zip(terms, w, ys)]
-            xbar = xbar_new
-        x = xbar
-        err = np.linalg.norm(iterates[k + 1] - x)
-        assert err <= 1e-12 * (1 + np.linalg.norm(x))
+    for start in warm_starts(56):
+        iterates = capture_iterates(solve_pdfb, problem, cfg, **start)
+
+        x = np.zeros(6) if start["x0"] is None else start["x0"].copy()
+        ys = start["y0"] or [np.zeros(6), np.zeros(6)]
+        xbar = x.copy()
+        for k in range(10):
+            u = x - gamma * (x - b)
+            for _ in range(3):
+                bty = sum(wi * B.adjoint_apply(y) for wi, y in zip(w, ys))
+                xbar_new = g.prox((xbar - tau * bty + tau * u) / (1.0 + tau),
+                                  tau * gamma / (1.0 + tau))
+                z = 2.0 * xbar_new - xbar
+                ys = [gamma * prox_weighted_conjugate(
+                          h, wi, (y + sigma * B.apply(z)) / gamma,
+                          sigma / gamma)
+                      for h, wi, y in zip(terms, w, ys)]
+                xbar = xbar_new
+            x = xbar
+            err = np.linalg.norm(iterates[k + 1] - x)
+            assert err <= 1e-12 * (1 + np.linalg.norm(x))
 
 
 def test_admm_shared_operator_matches_distinct_copies():
