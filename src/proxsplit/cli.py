@@ -12,8 +12,8 @@ Config keys (defaults in parentheses):
     scene.seed (20170520)       scene.lambda1 (0.4)     scene.lambda2 (0.5)
     run.solvers (dfb,pdfb,admm) run.eps (1e-6)          run.max_outer (40000)
     run.out (.)
-    <algo>.gamma, dfb.lambda, dfb.inner_iters (1), dfb.mode (strict-weak),
-    pdfb.sigma, pdfb.tau, pdfb.inner_iters (1), admm.rho (1.0)
+    <algo>.gamma, dfb.lambda, dfb.inner_iters (1), pdfb.sigma, pdfb.tau,
+    pdfb.inner_iters (1), admm.rho (1.0)
 
 The <algo>.* keys are those of the SolverConfig fields solvers.OPTIONS lists
 for the algorithm.  Any other key (so a setting an algorithm does not read,
@@ -80,8 +80,7 @@ SCENE_KEYS = {"n": int, "n_views": int, "n_rays": int, "geometry": str,
               "lambda1": float, "lambda2": float}
 SOLVER_KEYS = {"gamma": ("gamma", float), "lambda": ("lam", float),
                "sigma": ("sigma", float), "tau": ("tau", float),
-               "rho": ("rho", float), "inner_iters": ("inner_iters", int),
-               "mode": ("convergence_mode", str)}
+               "rho": ("rho", float), "inner_iters": ("inner_iters", int)}
 RUN_KEYS = ("run.solvers", "run.eps", "run.max_outer", "run.out")
 KNOWN_KEYS = frozenset(
     [f"scene.{k}" for k in SCENE_KEYS] + list(RUN_KEYS)

@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .linops import safe_norm_sq
-from .prox import _check_step
 
 __all__ = ["BlockStack"]
 
@@ -107,17 +106,6 @@ class BlockStack:
         ys = self._check_ys(ys)
         return [term.prox(y, t / w)
                 for (_, term), w, y in zip(self.blocks, self.weights, ys)]
-
-    def stacked_conjugate_prox(self, ys, t):
-        """Blockwise prox of t sum_i h_i* under the stack's inner product.
-
-        Moreau's identity in that space gives it from :meth:`stacked_prox`:
-        y_i - t p_i with p = stacked_prox([y_i / t], 1 / t).
-        """
-        _check_step(t)
-        ys = self._check_ys(ys)
-        ps = self.stacked_prox([y / t for y in ys], 1.0 / t)
-        return [y - t * p for y, p in zip(ys, ps)]
 
     def norm_sq_bound(self):
         """Safety-factored bound on sum_i w_i ||B_i||^2, the squared norm of

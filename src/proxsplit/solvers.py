@@ -124,10 +124,9 @@ class PiccsProblem:
 
 
 # The SolverConfig fields each algorithm reads, besides max_outer and eps.
-OPTIONS = {"dfb": ("gamma", "lam", "inner_iters", "convergence_mode"),
+OPTIONS = {"dfb": ("gamma", "lam", "inner_iters"),
            "pdfb": ("gamma", "sigma", "tau", "inner_iters"),
            "admm": ("gamma", "rho")}
-MODES = ("strict-weak", "relaxed-finite")
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,6 @@ class SolverConfig:
     inner_iters: int = 1
     max_outer: int = 10_000
     eps: float = 1e-8
-    convergence_mode: str = "strict-weak"
 
     def __post_init__(self):
         """Reject values no problem admits; validate_params checks bounds."""
@@ -153,13 +151,10 @@ class SolverConfig:
                   reads and getattr(self, f.name) != f.default]
         if unread:
             raise ParameterError(f"{self.algorithm} does not read {unread}")
-        if self.convergence_mode not in MODES:
-            raise ParameterError(
-                f"unknown convergence_mode {self.convergence_mode!r}; "
-                f"valid: {MODES}")
         for name in ("inner_iters", "max_outer"):
             count = getattr(self, name)
-            if not (isinstance(count, numbers.Integral) and count >= 1):
+            if isinstance(count, bool) or not (
+                    isinstance(count, numbers.Integral) and count >= 1):
                 raise ParameterError(
                     f"{name} must be an integer >= 1, got {count}")
         for name in ("eps", "rho", "gamma", "lam", "sigma", "tau"):
@@ -189,7 +184,6 @@ class SolveReport:
     residual_trace: list
     termination: str                  # "tolerance-met" | "max-iters"
     metric_trace: list = field(default_factory=list)
-    notes: str = ""
 
 
 def validate_params(problem, config):
@@ -197,7 +191,18 @@ def validate_params(problem, config):
 
     Returns a resolved copy of ``config``.  Raises ParameterError naming
     the violated bound.  Checks that need no problem (names, eps, iteration
-    counts, signs) are made when the SolverConfig is built.
+    counts, signs) are made when the SolverConfig is built.  S bounds
+    ||B||^2, the squared norm of the stack into its weighted product space.
+
+    dfb with one inner step is PDFP2O (Chen, Huang & Zhang 2013), which
+    converges when gamma < 2/L and lam <= 1/lambda_max(B B^T); the gate
+    is gamma < 2/L and lam < 1/S, and lam's default is 0.9/S.
+
+    pdfb with one inner step is the Condat-Vu iteration with primal step
+    tau' = tau gamma/(1 + tau) and dual step sigma' = sigma/gamma, which
+    converges when 1/tau' - sigma' S > L/2, i.e. when
+    sigma tau S < 1 + tau (1 - gamma L/2).  Under gamma < 2/L the right
+    side exceeds 1, so the gate gamma < 2/L and sigma tau < 1/S implies it.
 
     Linearized ADMM with duals u_i = rho_i v_i is the Condat-Vu iteration
     (Condat 2013, Algorithm 3.2; Vu 2013) with primal step gamma and dual
@@ -240,12 +245,10 @@ def validate_params(problem, config):
         lam = config.lam
         if lam is None:
             lam = 0.9 / S
-        cap = 2.0 / S if config.convergence_mode == "relaxed-finite" else 1.0 / S
-        if not lam < cap:
+        if not lam < 1.0 / S:
             raise ParameterError(
                 f"lambda={lam} violates the dual-step bound "
-                f"lambda in (0, {cap}) for S={S} "
-                f"({config.convergence_mode} mode)")
+                f"lambda in (0, {1.0 / S}) for S={S}")
         return dataclasses.replace(config, gamma=gamma, lam=lam)
 
     # pdfb
@@ -257,12 +260,6 @@ def validate_params(problem, config):
         raise ParameterError(
             f"sigma*tau={sigma * tau} violates the strict product bound "
             f"sigma*tau < 1/S with S={S}")
-    tau_p = tau * gamma / (1.0 + tau)
-    sigma_p = sigma / gamma
-    if not 1.0 / tau_p - sigma_p * S > L / 2.0:
-        raise ParameterError(
-            f"derived primal-dual balance 1/tau' - sigma'*S > L/2 fails: "
-            f"tau'={tau_p}, sigma'={sigma_p}, S={S}, L={L}")
     return dataclasses.replace(config, gamma=gamma, sigma=sigma, tau=tau)
 
 
@@ -325,7 +322,7 @@ def _validate(problem, config, algorithm):
     return validate_params(problem, config)
 
 
-def _iterate(cfg, iterates, metric_fn, notes=""):
+def _iterate(cfg, iterates, metric_fn):
     """Run a solver's iterates to the stopping rule and report.
 
     ``iterates`` yields ``(x, objective_at_x)``, where ``objective_at_x()``
@@ -357,7 +354,7 @@ def _iterate(cfg, iterates, metric_fn, notes=""):
     if metric_fn is None:
         obj_trace.append(objective_at_x())
     return SolveReport(x, k, obj_trace, res_trace, termination,
-                       metric_trace, notes)
+                       metric_trace)
 
 
 def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
@@ -396,10 +393,8 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
             x = g.prox(u - lam * btz, gamma)
             yield x, lambda x=x: objective(problem, x)
 
-    notes = ("finite-dimensional convergence only"
-             if cfg.convergence_mode == "relaxed-finite" else "")
     return _iterate(cfg, iterates(_start(x0, problem.dim),
-                                  _init_duals(stack, y0, t)), metric_fn, notes)
+                                  _init_duals(stack, y0, t)), metric_fn)
 
 
 def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):

@@ -6,9 +6,10 @@ oracle minimizes 0.5||x-u||^2 + t f(x) by coarse grid search over
 same for full composite objectives in dimension <= 4.  ``CountingOperator``
 counts the products a solver or a stack makes with an operator.
 ``siddon_projector_oracle`` builds the CT system matrix one ray at a time.
+``stacked_conjugate_prox`` is a stack's conjugate prox by Moreau's
+identity, the reference for the scaled duals dfb and pdfb carry;
 ``prox_weighted_conjugate`` is the closed form of one block's conjugate
-prox under a w-weighted inner product, the reference for
-``BlockStack.stacked_conjugate_prox`` on weighted stacks.
+prox under a w-weighted inner product, its reference on weighted stacks.
 """
 
 import itertools
@@ -40,6 +41,18 @@ class CountingOperator(linops.LinearOperator):
 
     def counts(self):
         return self.applies, self.adjoints
+
+
+def stacked_conjugate_prox(stack, ys, t):
+    """Blockwise prox of t sum_i h_i* under the stack's inner product.
+
+    Moreau's identity in that space gives it from ``stack.stacked_prox``:
+    y_i - t p_i with p = stacked_prox([y_i / t], 1 / t).
+    """
+    _check_step(t)
+    ys = [_vec(y) for y in ys]
+    ps = stack.stacked_prox([y / t for y in ys], 1.0 / t)
+    return [y - t * p for y, p in zip(ys, ps)]
 
 
 def prox_weighted_conjugate(f, w, u, t):

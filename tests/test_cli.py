@@ -76,11 +76,9 @@ def test_build_runspec_rejects_unknown_algorithm():
 
 def test_build_runspec_per_algorithm_overrides():
     _, configs, _ = cli.build_runspec(
-        {"run.solvers": "admm,dfb", "admm.rho": "5.0", "dfb.lambda": "0.1",
-         "dfb.mode": "relaxed-finite"})
+        {"run.solvers": "admm,dfb", "admm.rho": "5.0", "dfb.lambda": "0.1"})
     assert configs[0].rho == 5.0 and configs[0].lam is None
     assert configs[1].rho == 1.0 and configs[1].lam == 0.1
-    assert configs[1].convergence_mode == "relaxed-finite"
 
 
 def test_inner_iters_reach_solver_config_and_change_the_run(tmp_path):
@@ -103,9 +101,9 @@ def test_inner_iters_reach_solver_config_and_change_the_run(tmp_path):
 
 
 def test_build_runspec_rejects_unknown_keys():
-    # misspelt, renamed, or read by no solver
+    # misspelt, renamed, removed, or read by no solver
     for key in ("dfb.lamda", "scene.nn", "admm.rho1", "run.seed",
-                "admm.lambda", "pdfb.mode"):
+                "admm.lambda", "pdfb.mode", "dfb.mode"):
         with pytest.raises(ConfigError, match=key):
             cli.build_runspec({key: "1"})
 
@@ -116,7 +114,7 @@ def test_known_keys_are_scene_run_and_each_algorithms_options():
         "scene.noise_var_b", "scene.noise_var_prior", "scene.seed",
         "scene.lambda1", "scene.lambda2",
         "run.solvers", "run.eps", "run.max_outer", "run.out",
-        "dfb.gamma", "dfb.lambda", "dfb.inner_iters", "dfb.mode",
+        "dfb.gamma", "dfb.lambda", "dfb.inner_iters",
         "pdfb.gamma", "pdfb.sigma", "pdfb.tau", "pdfb.inner_iters",
         "admm.gamma", "admm.rho"}
 

