@@ -26,6 +26,7 @@ codes: 0 ok, 1 solver failure, 2 usage error.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -72,12 +73,10 @@ def _get(cfg, key, conv, default):
         raise ConfigError(f"bad value for {key}: {cfg[key]!r} ({exc})")
 
 
-# Config keys that set Scene fields (scene.<field>) and SolverConfig fields
-# (<algo>.<key>, for the fields solvers.OPTIONS says that algorithm reads);
-# unset fields keep their defaults.
-SCENE_KEYS = {"n": int, "n_views": int, "n_rays": int, "geometry": str,
-              "noise_var_b": float, "noise_var_prior": float, "seed": int,
-              "lambda1": float, "lambda2": float}
+# Config keys that set Scene fields (scene.<field>, converted by the field's
+# type) and SolverConfig fields (<algo>.<key>, for the fields solvers.OPTIONS
+# says that algorithm reads); unset fields keep their defaults.
+SCENE_KEYS = {f.name: f.type for f in dataclasses.fields(Scene)}
 SOLVER_KEYS = {"gamma": ("gamma", float), "lambda": ("lam", float),
                "sigma": ("sigma", float), "tau": ("tau", float),
                "rho": ("rho", float), "inner_iters": ("inner_iters", int)}
@@ -130,12 +129,6 @@ def _tag(algorithm, eps):
     return f"{algorithm}_eps{eps:g}"
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_pgm(path, image_vec, n):
     """8-bit binary PGM, min-max normalized; bounds go to a sidecar file."""
     img = np.asarray(image_vec, dtype=float).reshape((n, n), order="F")
@@ -164,16 +157,16 @@ def run(config_path, out_override=None, seed_override=None):
                             f"{row['error']}")
             continue
         results_lines.append(",".join([
-            row["algorithm"], _fmt(row["eps"]), _fmt(row["snr_db"]),
-            _fmt(row["nmsd"]), str(row["iterations"]),
-            _fmt(row["final_objective"]), row["terminated_by"]]))
+            row["algorithm"], str(row["eps"]), str(row["snr_db"]),
+            str(row["nmsd"]), str(row["iterations"]),
+            str(row["final_objective"]), row["terminated_by"]]))
         tag = _tag(row["algorithm"], row["eps"])
         report = row["report"]
         trace_lines = ["iteration,objective,snr_db,residual"]
         for i, res in enumerate(report.residual_trace, start=1):
             trace_lines.append(",".join([
-                str(i), _fmt(report.objective_trace[i]),
-                _fmt(report.metric_trace[i]), _fmt(res)]))
+                str(i), str(report.objective_trace[i]),
+                str(report.metric_trace[i]), str(res)]))
         (out_dir / f"trace_{tag}.csv").write_text(
             "\n".join(trace_lines) + "\n")
         write_pgm(out_dir / f"recon_{tag}.pgm", report.x_final, scene.n)
@@ -210,7 +203,3 @@ def main(argv=None):
             return EXIT_USAGE
     parser.print_usage(sys.stderr)
     return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -31,6 +31,9 @@ __all__ = [
 MEASUREMENT_NOISE_TAG = 1
 PRIOR_NOISE_TAG = 2
 
+# Fan-beam source distance from the centre, outside the [-1, 1]^2 square.
+SOURCE_RADIUS = 2.0
+
 # Classical ten-ellipse Shepp-Logan table with the high-contrast
 # ("modified") intensities: (intensity, a, b, x0, y0, angle_deg).
 SHEPP_LOGAN_ELLIPSES = (
@@ -58,31 +61,26 @@ class Scene:
     seed: int = 20170520
     lambda1: float = 0.4
     lambda2: float = 0.5
-    source_radius: float = 2.0      # fan-beam source distance from center
 
     def __post_init__(self):
         if self.geometry not in ("fan", "parallel"):
             raise ParameterError(
-                f"geometry must be 'fan' or 'parallel', got {self.geometry}")
+                f"geometry must be 'fan' or 'parallel', got {self.geometry!r}")
         for name, least in (("n", 8), ("n_views", 1), ("n_rays", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Integral) and value >= least):
                 raise ParameterError(
-                    f"{name} must be an integer >= {least}, got {value}")
-        if not isinstance(self.seed, numbers.Integral):
-            raise ParameterError(f"seed must be an integer, got {self.seed}")
+                    f"{name} must be an integer >= {least}, got {value!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ParameterError(f"seed must be an integer, got {seed!r}")
         for name in ("noise_var_b", "noise_var_prior", "lambda1", "lambda2"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0 <= value < math.inf:
                 raise ParameterError(
-                    f"{name} must be finite and >= 0, got {value}")
-        # A source on or inside the [-1, 1]^2 square would also count the
-        # pixels behind it; at 0 the centre ray has no direction.
-        if not (math.isfinite(self.source_radius)
-                and self.source_radius > math.sqrt(2.0)):
-            raise ParameterError(
-                f"source_radius must be finite and > sqrt(2), got "
-                f"{self.source_radius}")
+                    f"{name} must be finite and >= 0, got {value!r}")
 
 
 def shepp_logan(n):
@@ -163,7 +161,7 @@ def build_projector(scene):
     """Sparse line-integral system matrix, rows = n_views * n_rays.
 
     Fan geometry: views equally spaced over [0, 360); the source sits at
-    distance ``source_radius`` from the center and each ray aims at one of
+    distance ``SOURCE_RADIUS`` from the center and each ray aims at one of
     n_rays detector cell centers on the line through the origin
     perpendicular to the source direction, spanning [-1, 1].  Parallel
     geometry: views over [0, 180), rays offset across [-1, 1].
@@ -184,8 +182,7 @@ def build_projector(scene):
         # t * perp for each detector offset t
         perp = np.array([offsets * -s, offsets * c])
         if scene.geometry == "fan":
-            r = scene.source_radius
-            p0 = np.repeat([[r * c], [r * s]], offsets.size, axis=1)
+            p0 = SOURCE_RADIUS * np.repeat([[c], [s]], offsets.size, axis=1)
             d = perp - p0
             d /= _hypot(d[0], d[1])
         else:

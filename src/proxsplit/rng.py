@@ -23,23 +23,22 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _TAG_MULT = 0xD2B74407B1CE6E93
 
 
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def mix64(z: int) -> int:
-    """splitmix64 finalizer on a 64-bit integer."""
-    z &= 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
+    """splitmix64 finalizer on an integer taken modulo 2**64."""
+    # An array, not a numpy scalar: scalar uint64 products warn on overflow.
+    z = np.array([z & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    return int(_mix64_array(z)[0])
 
 
 def substream_seed(master_seed: int, tag: int) -> int:
     """Derive an independent stream seed for a named purpose tag."""
     return mix64(operator.index(master_seed) ^ (tag * _TAG_MULT))
-
-
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 class Stream:

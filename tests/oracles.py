@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from proxsplit import linops
+from proxsplit.ct import SOURCE_RADIUS
 from proxsplit.errors import ParameterError
 from proxsplit.prox import _check_step, _vec, prox_conjugate
 
@@ -193,7 +194,7 @@ def siddon_projector_oracle(scene):
         perp = np.array([-math.sin(theta), math.cos(theta)])
         for t in offsets:
             if scene.geometry == "fan":
-                p0 = scene.source_radius * axis
+                p0 = SOURCE_RADIUS * axis
                 d = t * perp - p0
                 nd = math.hypot(d[0], d[1])
                 d = d / nd

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from proxsplit import cli
@@ -265,6 +270,23 @@ def test_run_solver_failure_exits_nonzero(tmp_path, capsys):
 def test_no_command_is_usage_error(capsys):
     assert cli.main([]) == cli.EXIT_USAGE
     assert cli.main(["selftest"]) == cli.EXIT_USAGE
+
+
+def test_python_m_proxsplit_runs_the_cli(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(
+        os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "proxsplit", "run",
+         str(write_config(tmp_path)), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert (out / "results.csv").is_file()
+    proc = subprocess.run([sys.executable, "-m", "proxsplit"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == cli.EXIT_USAGE
 
 
 # ---------------------------------------------------------------- write_pgm

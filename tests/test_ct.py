@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from proxsplit import ct, linops
-from proxsplit.errors import ParameterError
+from proxsplit.errors import DimensionError, ParameterError
 from proxsplit.rng import substream_seed
 from proxsplit.solvers import (SolverConfig, objective, solve_admm,
                                solve_dfb)
@@ -113,11 +113,13 @@ def test_scene_validates_geometry():
     with pytest.raises(ParameterError):
         ct.Scene(noise_var_b=-1.0)
     for bad in (dict(lambda1=-0.1), dict(lambda2=-1.0),
-                dict(lambda1=float("nan")), dict(n=7),
-                dict(source_radius=0.0), dict(source_radius=1.0),
-                dict(source_radius=-2.0), dict(source_radius=float("nan"))):
+                dict(lambda1=float("nan")), dict(n=7)):
         with pytest.raises(ParameterError):
             ct.Scene(**bad)
+    for name, value in (("lambda1", True), ("noise_var_b", False),
+                        ("lambda1", "0.4"), ("lambda1", None)):
+        with pytest.raises(ParameterError, match=name):
+            ct.Scene(**{name: value})
     for name in ("noise_var_b", "noise_var_prior", "lambda1", "lambda2"):
         for value in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ParameterError, match=name):
@@ -126,7 +128,8 @@ def test_scene_validates_geometry():
 
 def test_scene_counts_must_be_integers():
     for name, value in (("n", 8.5), ("n", 8.0), ("n_views", 2.5),
-                        ("n_rays", 3.5), ("n_rays", float("nan"))):
+                        ("n_rays", 3.5), ("n_rays", float("nan")),
+                        ("n_views", True), ("n_rays", True), ("seed", True)):
         with pytest.raises(ParameterError, match=name):
             ct.Scene(**{name: value})
     scene = ct.Scene(n=np.int64(8), n_views=np.int32(2), n_rays=3)
@@ -216,6 +219,12 @@ def test_snr_exact_reconstruction_is_infinite():
 def test_snr_rejects_constant_reference():
     with pytest.raises(ParameterError):
         ct.snr(np.ones(4), np.zeros(4))
+
+
+def test_snr_and_nmsd_reject_length_mismatch():
+    for metric in (ct.snr, ct.nmsd):
+        with pytest.raises(DimensionError):
+            metric(np.arange(4.0), np.zeros(3))
 
 
 def test_snr_nmsd_consistency():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from proxsplit import linops
 from proxsplit.errors import DimensionError, ParameterError
@@ -137,6 +138,13 @@ def test_first_difference_kills_constants():
 def test_first_difference_rejects_zero_size():
     with pytest.raises(DimensionError):
         linops.first_difference(0)
+
+
+def test_identity_zero_and_sparse_reject_zero_size():
+    for make in (lambda: linops.identity(0), lambda: linops.zero(0, 3),
+                 lambda: linops.sparse(sp.csr_matrix((0, 3)))):
+        with pytest.raises(DimensionError):
+            make()
 
 
 # ----------------------------------------------------------- tv_gradient

@@ -23,6 +23,8 @@ def test_rejects_mismatched_primal_dims():
     with pytest.raises(DimensionError):
         BlockStack([(linops.identity(3), prox.L1Norm(3)),
                     (linops.identity(4), prox.L1Norm(4))])
+    with pytest.raises(DimensionError):
+        BlockStack([])
 
 
 def test_rejects_operator_term_mismatch():

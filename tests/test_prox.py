@@ -93,6 +93,11 @@ def test_prox_l21_rejects_odd_length():
         prox.GroupL21(3)
 
 
+def test_prox_term_rejects_zero_dim():
+    with pytest.raises(DimensionError):
+        prox.L1Norm(0)
+
+
 # ------------------------------------------------------ BoxIndicator.prox
 
 

@@ -9,6 +9,9 @@ def test_mix64_reference_values():
     # seed 0 advanced by the golden-ratio increment gives this first output
     assert mix64(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
     assert mix64(0) == 0
+    # the input is taken modulo 2**64
+    assert mix64(-1) == 13029008266876403067
+    assert mix64(2**64 + 5) == 13168350753275463132
 
 
 def test_stream_is_deterministic():
@@ -49,6 +52,9 @@ def test_substreams_differ_and_are_stable():
     assert s == substream_seed(20170520, 1)
     # different master seeds give different substreams
     assert s != substream_seed(20170521, 1)
+    # the scene's noise substreams (ct's measurement and prior tags)
+    assert s == 4545898163372077500
+    assert t == 12282678650058246131
 
 
 def test_numpy_integer_seeds_match_python_ints():

@@ -297,6 +297,11 @@ def test_objective_infinite_outside_indicator():
         least_squares_smooth(b), prox.BoxIndicator(2, 0.0, np.inf),
         BlockStack([(linops.identity(2), prox.ZeroTerm(2))]))
     assert objective(problem, [-0.1, 1.0]) == np.inf
+    # a block term that is an indicator, with B x outside its box
+    problem = CompositeProblem(
+        least_squares_smooth(b), prox.ZeroTerm(2),
+        BlockStack([(linops.identity(2), prox.BoxIndicator(2, 0.0, 1.0))]))
+    assert objective(problem, [0.5, 1.5]) == np.inf
 
 
 def test_objective_matches_termwise_sum():
@@ -311,6 +316,13 @@ def test_objective_dimension_mismatch():
     problem = tv_denoise_problem(np.zeros(3))
     with pytest.raises(DimensionError):
         objective(problem, np.zeros(4))
+
+
+def test_composite_problem_rejects_g_of_another_dim():
+    with pytest.raises(DimensionError):
+        CompositeProblem(
+            least_squares_smooth(np.zeros(4)), prox.ZeroTerm(3),
+            BlockStack([(linops.identity(4), prox.L1Norm(4))]))
 
 
 # ------------------------------------------------------------- solve_dfb
