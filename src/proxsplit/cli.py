@@ -73,13 +73,13 @@ def _get(cfg, key, conv, default):
         raise ConfigError(f"bad value for {key}: {cfg[key]!r} ({exc})")
 
 
-# Config keys that set Scene fields (scene.<field>, converted by the field's
-# type) and SolverConfig fields (<algo>.<key>, for the fields solvers.OPTIONS
-# says that algorithm reads); unset fields keep their defaults.
+# Config keys that set Scene fields (scene.<field>) and SolverConfig fields
+# (<algo>.<field> for those solvers.OPTIONS lists, with lam as lambda), each
+# converted by the field's type; unset fields keep their defaults.
 SCENE_KEYS = {f.name: f.type for f in dataclasses.fields(Scene)}
-SOLVER_KEYS = {"gamma": ("gamma", float), "lambda": ("lam", float),
-               "sigma": ("sigma", float), "tau": ("tau", float),
-               "rho": ("rho", float), "inner_iters": ("inner_iters", int)}
+SOLVER_KEYS = {("lambda" if f.name == "lam" else f.name): (f.name, f.type)
+               for f in dataclasses.fields(SolverConfig)
+               if any(f.name in reads for reads in OPTIONS.values())}
 RUN_KEYS = ("run.solvers", "run.eps", "run.max_outer", "run.out")
 KNOWN_KEYS = frozenset(
     [f"scene.{k}" for k in SCENE_KEYS] + list(RUN_KEYS)

@@ -8,13 +8,13 @@ together with SNR/NMSD quality metrics.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError, ParameterError, ProxsplitError
+from .errors import (ParameterError, ProxsplitError, as_vector, check_count,
+                     check_real)
 from .linops import LinearOperator, tv_gradient
 from .prox import BoxIndicator, L1Norm, Scaled, Translated, ZeroTerm
 from .product import BlockStack
@@ -66,21 +66,11 @@ class Scene:
         if self.geometry not in ("fan", "parallel"):
             raise ParameterError(
                 f"geometry must be 'fan' or 'parallel', got {self.geometry!r}")
-        for name, least in (("n", 8), ("n_views", 1), ("n_rays", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                    isinstance(value, numbers.Integral) and value >= least):
-                raise ParameterError(
-                    f"{name} must be an integer >= {least}, got {value!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-            raise ParameterError(f"seed must be an integer, got {seed!r}")
+        for name, least in (("n", 8), ("n_views", 1), ("n_rays", 1),
+                            ("seed", None)):
+            check_count(name, getattr(self, name), least)
         for name in ("noise_var_b", "noise_var_prior", "lambda1", "lambda2"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not 0 <= value < math.inf:
-                raise ParameterError(
-                    f"{name} must be finite and >= 0, got {value!r}")
+            check_real(name, getattr(self, name), positive=False)
 
 
 def shepp_logan(n):
@@ -90,8 +80,7 @@ def shepp_logan(n):
     clamped to [0, 1].  Returned as the column-major vectorization used by
     the TV operators; row index runs top (y=+1) to bottom (y=-1).
     """
-    if n < 8:
-        raise ParameterError(f"phantom needs n >= 8, got {n}")
+    check_count("n", n, least=8)
     h = 2.0 / n
     xs = -1.0 + (np.arange(n) + 0.5) * h
     ys = 1.0 - (np.arange(n) + 0.5) * h
@@ -200,21 +189,16 @@ def build_projector(scene):
 
 def add_gaussian_noise(v, variance, seed):
     """v plus i.i.d. N(0, variance) noise from the portable stream."""
-    if not (math.isfinite(variance) and variance >= 0):
-        raise ParameterError(
-            f"variance must be finite and >= 0, got {variance}")
-    v = np.asarray(v, dtype=float).ravel()
+    check_real("variance", variance, positive=False)
+    v = as_vector(v)
     if variance == 0:
         return v.copy()
     return v + math.sqrt(variance) * Stream(seed).gaussians(v.size)
 
 
 def _check_pair(x, x_r):
-    x = np.asarray(x, dtype=float).ravel()
-    x_r = np.asarray(x_r, dtype=float).ravel()
-    if x.size != x_r.size:
-        raise DimensionError(
-            f"reference length {x.size} != reconstruction {x_r.size}")
+    x = as_vector(x)
+    x_r = as_vector(x_r, x.size, "reconstruction")
     centered = x - x.mean()
     power = float(centered @ centered)
     if power == 0.0:

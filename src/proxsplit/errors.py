@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for each
+kind of argument: a count (:func:`check_count`), a real (:func:`check_real`)
+and a vector (:func:`as_vector`).  A bool is neither a count nor a real.
+"""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class ProxsplitError(Exception):
@@ -19,3 +27,35 @@ class DivergenceError(ProxsplitError):
     def __init__(self, message, iteration=None):
         super().__init__(message)
         self.iteration = iteration
+
+
+def check_count(name, value, least=1, error=ParameterError):
+    """``value``, if it is an integer >= ``least`` (any integer when
+    ``least`` is None) and not a bool; otherwise raise ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def check_real(name, value, positive=True):
+    """``value``, if it is a finite real that is not a bool and is > 0, or
+    >= 0 when ``positive`` is false; otherwise raise ParameterError."""
+    # float first: isinstance against the numbers.Real ABC alone costs
+    # about ten times as much, and prox steps are checked every iteration.
+    if isinstance(value, (float, numbers.Real)) \
+            and not isinstance(value, bool) \
+            and (0 < value if positive else 0 <= value) and value < math.inf:
+        return value
+    rule = "positive and finite" if positive else "finite and >= 0"
+    raise ParameterError(f"{name} must be {rule}, got {value!r}")
+
+
+def as_vector(u, size=None, what="vector"):
+    """``u`` as a flat float array, not copied when it already is one;
+    DimensionError unless it has ``size`` entries, when ``size`` is given."""
+    u = np.asarray(u, dtype=float).ravel()
+    if size is not None and u.size != size:
+        raise DimensionError(f"{what} has length {u.size}, expected {size}")
+    return u

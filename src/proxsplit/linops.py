@@ -10,7 +10,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, as_vector, check_count, check_real
 from .rng import Stream
 
 __all__ = [
@@ -43,17 +43,11 @@ class LinearOperator:
         self._norm_sq_cache = {}
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.cols:
-            raise DimensionError(
-                f"apply expects length {self.cols}, got {x.size}")
+        x = as_vector(x, self.cols, "apply input")
         return np.asarray(self._mat @ x).ravel()
 
     def adjoint_apply(self, y):
-        y = np.asarray(y, dtype=float).ravel()
-        if y.size != self.rows:
-            raise DimensionError(
-                f"adjoint_apply expects length {self.rows}, got {y.size}")
+        y = as_vector(y, self.rows, "adjoint_apply input")
         return np.asarray(self._matT @ y).ravel()
 
     @property
@@ -69,8 +63,7 @@ class LinearOperator:
 
 
 def identity(n):
-    if n < 1:
-        raise DimensionError("identity needs n >= 1")
+    check_count("n", n, error=DimensionError)
     return LinearOperator(sp.identity(n, format="csr"))
 
 
@@ -83,15 +76,14 @@ def sparse(mat):
 
 
 def zero(rows, cols):
-    if rows < 1 or cols < 1:
-        raise DimensionError("zero operator needs positive dimensions")
+    check_count("rows", rows, error=DimensionError)
+    check_count("cols", cols, error=DimensionError)
     return LinearOperator(sp.csr_matrix((rows, cols)))
 
 
 def first_difference(n):
     """n x n forward difference with a reflexive (all-zero) last row."""
-    if n < 1:
-        raise DimensionError("first_difference needs n >= 1")
+    check_count("n", n, error=DimensionError)
     rows = np.repeat(np.arange(n - 1), 2)
     cols = np.empty(2 * (n - 1), dtype=int)
     cols[0::2] = np.arange(n - 1)
@@ -109,8 +101,8 @@ def tv_gradient(n, m):
     sum of two path-graph Laplacians with eigenvalues 4 sin^2(k pi / 2n),
     k < n, so ||D||^2 = 4 sin^2((n-1)pi/2n) + 4 sin^2((m-1)pi/2m) exactly.
     """
-    if n < 1 or m < 1:
-        raise DimensionError("tv_gradient needs n, m >= 1")
+    check_count("n", n, error=DimensionError)
+    check_count("m", m, error=DimensionError)
     bn = first_difference(n).matrix
     bm = first_difference(m).matrix
     top = sp.kron(sp.identity(m), bn, format="csr")
@@ -143,8 +135,7 @@ def op_norm_sq(op, tol=1e-9):
     gates use :func:`safe_norm_sq`, whose ``1 + 10 tol`` inflation covers
     this.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ParameterError(f"tol must be finite and > 0, got {tol}")
+    check_real("tol", tol)
     if op._exact_norm_sq is not None:
         return op._exact_norm_sq
     if tol not in op._norm_sq_cache:
@@ -188,10 +179,7 @@ def safe_norm_sq(op, tol=1e-9):
 
 
 def _image(u, n, m):
-    u = np.asarray(u, dtype=float).ravel()
-    if u.size != n * m:
-        raise DimensionError(f"expected image of {n * m} pixels, got {u.size}")
-    return u.reshape((n, m), order="F")
+    return as_vector(u, n * m, "image").reshape((n, m), order="F")
 
 
 def atv(u, n, m):

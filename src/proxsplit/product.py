@@ -6,9 +6,7 @@ positive weights summing to 1, or unit weights for an unweighted stack
 (which therefore is not the same as equal weights).
 """
 
-import numpy as np
-
-from .errors import DimensionError
+from .errors import DimensionError, as_vector, check_real
 from .linops import safe_norm_sq
 
 __all__ = ["BlockStack"]
@@ -33,12 +31,14 @@ class BlockStack:
         if weights is None:
             weights = (1.0,) * len(blocks)
         else:
-            weights = tuple(float(w) for w in weights)
+            weights = tuple(weights)
             if len(weights) != len(blocks):
                 raise DimensionError(
                     f"{len(weights)} weights for {len(blocks)} blocks")
-            if any(not 0 < w <= 1 for w in weights):
-                raise DimensionError("weights must lie in (0, 1]")
+            for w in weights:
+                if check_real("weight", w) > 1:
+                    raise DimensionError("weights must lie in (0, 1]")
+            weights = tuple(map(float, weights))
             if abs(sum(weights) - 1.0) > 1e-12:
                 raise DimensionError(
                     f"weights must sum to 1, got {sum(weights)}")
@@ -61,14 +61,8 @@ class BlockStack:
         if len(ys) != self.m:
             raise DimensionError(
                 f"expected {self.m} dual blocks, got {len(ys)}")
-        out = []
-        for (op, _), y in zip(self.blocks, ys):
-            y = np.asarray(y, dtype=float).ravel()
-            if y.size != op.rows:
-                raise DimensionError(
-                    f"dual block length {y.size} != operator rows {op.rows}")
-            out.append(y)
-        return out
+        return [as_vector(y, op.rows, "dual block")
+                for (op, _), y in zip(self.blocks, ys)]
 
     def apply_blocks(self, x):
         """[B_1 x, ..., B_m x], one product per distinct operator.

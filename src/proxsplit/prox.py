@@ -8,21 +8,13 @@ they go through the Moreau decomposition
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import (DimensionError, ParameterError, as_vector, check_count,
+                     check_real)
 
 __all__ = [
     "ProxTerm", "L1Norm", "GroupL21", "BoxIndicator", "ZeroTerm",
     "Translated", "Scaled", "prox_conjugate",
 ]
-
-
-def _vec(u):
-    return np.asarray(u, dtype=float).ravel()
-
-
-def _check_step(t):
-    if not t > 0:
-        raise ParameterError(f"prox step must be positive, got {t}")
 
 
 class ProxTerm:
@@ -33,16 +25,10 @@ class ProxTerm:
     """
 
     def __init__(self, dim):
-        if dim < 1:
-            raise DimensionError("ProxTerm needs dim >= 1")
-        self.dim = dim
+        self.dim = check_count("dim", dim, error=DimensionError)
 
     def _check(self, x):
-        x = _vec(x)
-        if x.size != self.dim:
-            raise DimensionError(
-                f"expected length {self.dim}, got {x.size}")
-        return x
+        return as_vector(x, self.dim)
 
     def value(self, x):
         raise NotImplementedError
@@ -58,7 +44,7 @@ class L1Norm(ProxTerm):
     def prox(self, u, t):
         """Soft threshold each component at level t."""
         u = self._check(u)
-        _check_step(t)
+        check_real("prox step", t)
         return u - np.clip(u, -t, t)
 
 
@@ -66,9 +52,9 @@ class GroupL21(ProxTerm):
     """||.||_{2,1} with the pairing (x_i, x_{p+i}), dim = 2p."""
 
     def __init__(self, dim):
+        super().__init__(dim)
         if dim % 2:
             raise DimensionError("GroupL21 needs even dim")
-        super().__init__(dim)
 
     def value(self, x):
         x = self._check(x)
@@ -78,7 +64,7 @@ class GroupL21(ProxTerm):
     def prox(self, u, t):
         """Group soft threshold of each pair (u_i, u_{p+i})."""
         u = self._check(u)
-        _check_step(t)
+        check_real("prox step", t)
         p = self.dim // 2
         a, b = u[:p], u[p:]
         norms = np.hypot(a, b)
@@ -93,8 +79,8 @@ class BoxIndicator(ProxTerm):
 
     def __init__(self, dim, lo=0.0, hi=np.inf):
         super().__init__(dim)
-        if lo > hi:
-            raise ParameterError(f"empty box: lo={lo} > hi={hi}")
+        if not lo <= hi:
+            raise ParameterError(f"box needs lo <= hi, got {lo} and {hi}")
         self.lo = lo
         self.hi = hi
 
@@ -106,7 +92,7 @@ class BoxIndicator(ProxTerm):
         return np.inf
 
     def prox(self, u, t):
-        _check_step(t)
+        check_real("prox step", t)
         return np.clip(self._check(u), self.lo, self.hi)
 
 
@@ -118,7 +104,7 @@ class ZeroTerm(ProxTerm):
         return 0.0
 
     def prox(self, u, t):
-        _check_step(t)
+        check_real("prox step", t)
         return self._check(u).copy()
 
 
@@ -127,12 +113,8 @@ class Translated(ProxTerm):
 
     def __init__(self, inner, c):
         super().__init__(inner.dim)
-        c = _vec(c)
-        if c.size != inner.dim:
-            raise DimensionError(
-                f"shift length {c.size} != term dim {inner.dim}")
         self.inner = inner
-        self.c = c
+        self.c = as_vector(c, inner.dim, "shift")
 
     def value(self, x):
         return self.inner.value(self._check(x) - self.c)
@@ -145,23 +127,21 @@ class Scaled(ProxTerm):
     """x -> s f(x) for s > 0."""
 
     def __init__(self, inner, s):
-        if not s > 0:
-            raise ParameterError(f"scale must be positive, got {s}")
         super().__init__(inner.dim)
         self.inner = inner
-        self.s = float(s)
+        self.s = float(check_real("scale", s))
 
     def value(self, x):
         return self.s * self.inner.value(x)
 
     def prox(self, u, t):
-        _check_step(t)
+        check_real("prox step", t)
         return self.inner.prox(u, self.s * t)
 
 
 def prox_conjugate(f, u, t):
     """prox of t f* at u, via the Moreau decomposition."""
-    _check_step(t)
-    u = _vec(u)
+    check_real("prox step", t)
+    u = as_vector(u)
     return u - t * f.prox(u / t, 1.0 / t)
 

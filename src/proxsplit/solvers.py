@@ -28,12 +28,12 @@ vector; their ``y0`` is taken unscaled.
 """
 
 import dataclasses
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, ParameterError
+from .errors import (DimensionError, DivergenceError, ParameterError,
+                     as_vector, check_count, check_real)
 from .linops import safe_norm_sq
 
 __all__ = [
@@ -59,15 +59,13 @@ def quadratic_data_term(A, b):
     they saw (kept with a copy of that point and matched by content), so
     evaluating both at one x costs one product with A, not two.
     """
-    b = np.asarray(b, dtype=float).ravel()
-    if b.size != A.rows:
-        raise DimensionError(f"b length {b.size} != operator rows {A.rows}")
+    b = as_vector(b, A.rows, "b")
     if not np.all(np.isfinite(b)):
         raise ParameterError("b has non-finite entries")
     last = [None, None]         # [x, A x - b]
 
     def residual(x):
-        x = np.asarray(x, dtype=float).ravel()
+        x = as_vector(x)
         if last[0] is None or not np.array_equal(x, last[0]):
             last[1] = A.apply(x) - b
             last[0] = x.copy()
@@ -152,20 +150,10 @@ class SolverConfig:
         if unread:
             raise ParameterError(f"{self.algorithm} does not read {unread}")
         for name in ("inner_iters", "max_outer"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not (
-                    isinstance(count, numbers.Integral) and count >= 1):
-                raise ParameterError(
-                    f"{name} must be an integer >= 1, got {count}")
+            check_count(name, getattr(self, name))
         for name in ("eps", "rho", "gamma", "lam", "sigma", "tau"):
-            value = getattr(self, name)
-            if value is None and name not in ("eps", "rho"):
-                continue
-            if isinstance(value, bool) \
-                    or not isinstance(value, numbers.Real) \
-                    or not 0 < value < np.inf:
-                raise ParameterError(
-                    f"{name} must be positive and finite, got {value!r}")
+            if getattr(self, name) is not None or name in ("eps", "rho"):
+                check_real(name, getattr(self, name))
 
 
 @dataclass
@@ -265,10 +253,7 @@ def validate_params(problem, config):
 
 def objective(problem, x):
     """f(x) + g(x) + sum_i h_i(B_i x); +inf if an indicator is violated."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != problem.dim:
-        raise DimensionError(
-            f"expected length {problem.dim}, got {x.size}")
+    x = as_vector(x, problem.dim)
     return _objective(problem, x, problem.stack.apply_blocks(x))
 
 
@@ -302,7 +287,7 @@ def _start(v, size):
     """A private copy of a starting vector; zeros when none is given."""
     if v is None:
         return np.zeros(size)
-    return np.asarray(v, dtype=float).ravel().copy()
+    return as_vector(v, size, "start point").copy()
 
 
 def _init_duals(stack, y0, scale=1.0):

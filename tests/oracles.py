@@ -21,8 +21,8 @@ from scipy.optimize import minimize
 
 from proxsplit import linops
 from proxsplit.ct import SOURCE_RADIUS
-from proxsplit.errors import ParameterError
-from proxsplit.prox import _check_step, _vec, prox_conjugate
+from proxsplit.errors import ParameterError, as_vector, check_real
+from proxsplit.prox import prox_conjugate
 
 
 class CountingOperator(linops.LinearOperator):
@@ -50,8 +50,8 @@ def stacked_conjugate_prox(stack, ys, t):
     Moreau's identity in that space gives it from ``stack.stacked_prox``:
     y_i - t p_i with p = stacked_prox([y_i / t], 1 / t).
     """
-    _check_step(t)
-    ys = [_vec(y) for y in ys]
+    check_real("prox step", t)
+    ys = [as_vector(y) for y in ys]
     ps = stack.stacked_prox([y / t for y in ys], 1.0 / t)
     return [y - t * p for y, p in zip(ys, ps)]
 
@@ -64,8 +64,8 @@ def prox_weighted_conjugate(f, w, u, t):
     """
     if not 0 < w <= 1:
         raise ParameterError(f"weight must lie in (0, 1], got {w}")
-    _check_step(t)
-    u = _vec(u)
+    check_real("prox step", t)
+    u = as_vector(u)
     return prox_conjugate(f, w * u, w * t) / w
 
 

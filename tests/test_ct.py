@@ -47,8 +47,9 @@ def test_phantom_has_expected_structure():
 
 
 def test_phantom_rejects_tiny_grids():
-    with pytest.raises(ParameterError):
-        ct.shepp_logan(7)
+    for n in (7, 8.5):
+        with pytest.raises(ParameterError):
+            ct.shepp_logan(n)
 
 
 # --------------------------------------------------------- build_projector
@@ -168,7 +169,7 @@ def test_noise_is_deterministic_under_fixed_seed():
 
 
 def test_noise_variance_must_be_finite_and_nonnegative():
-    for bad in (float("nan"), float("inf"), -1.0):
+    for bad in (float("nan"), float("inf"), -1.0, "0.1", None, True):
         with pytest.raises(ParameterError, match="variance"):
             ct.add_gaussian_noise(np.zeros(3), bad, 1)
 

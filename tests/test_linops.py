@@ -136,13 +136,15 @@ def test_first_difference_kills_constants():
 
 
 def test_first_difference_rejects_zero_size():
-    with pytest.raises(DimensionError):
-        linops.first_difference(0)
+    for n in (0, 3.5):
+        with pytest.raises(DimensionError):
+            linops.first_difference(n)
 
 
 def test_identity_zero_and_sparse_reject_zero_size():
     for make in (lambda: linops.identity(0), lambda: linops.zero(0, 3),
-                 lambda: linops.sparse(sp.csr_matrix((0, 3)))):
+                 lambda: linops.sparse(sp.csr_matrix((0, 3))),
+                 lambda: linops.identity(2.5)):
         with pytest.raises(DimensionError):
             make()
 
@@ -183,8 +185,9 @@ def test_tv_gradient_matches_kron_construction():
 
 
 def test_tv_gradient_rejects_zero_dimension():
-    with pytest.raises(DimensionError):
-        linops.tv_gradient(0, 3)
+    for n, m in ((0, 3), (2.0, 3)):
+        with pytest.raises(DimensionError):
+            linops.tv_gradient(n, m)
 
 
 # ------------------------------------------------------------ op_norm_sq
@@ -280,7 +283,8 @@ def test_op_norm_sq_is_computed_once_per_operator():
     assert op.applies > before[0]
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"),
+                                 "x", True])
 def test_norm_tolerance_must_be_finite_and_positive(tol):
     # checked before the closed-form norm of tv_gradient is returned too
     for op in (linops.first_difference(5), linops.tv_gradient(3, 3)):

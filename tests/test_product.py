@@ -41,6 +41,10 @@ def test_rejects_bad_weights():
         BlockStack(blocks, weights=[0.7, 0.7])
     with pytest.raises(DimensionError):
         BlockStack(blocks, weights=[1.2, -0.2])
+    with pytest.raises(ParameterError):
+        BlockStack(blocks, weights=["0.5", 0.5])
+    with pytest.raises(ParameterError):
+        BlockStack(blocks[:1], weights=[True])
 
 
 def test_single_block_weight_one_allowed():

@@ -57,8 +57,9 @@ def test_prox_l1_matches_sign_max_formula():
 
 
 def test_prox_l1_rejects_nonpositive_step():
-    with pytest.raises(ParameterError):
-        prox.L1Norm(1).prox([1.0], 0.0)
+    for t in (0.0, "1", True, np.inf):
+        with pytest.raises(ParameterError):
+            prox.L1Norm(1).prox([1.0], t)
 
 
 # ---------------------------------------------------------- GroupL21.prox
@@ -94,8 +95,9 @@ def test_prox_l21_rejects_odd_length():
 
 
 def test_prox_term_rejects_zero_dim():
-    with pytest.raises(DimensionError):
-        prox.L1Norm(0)
+    for dim in (0, 2.5, "3"):
+        with pytest.raises(DimensionError):
+            prox.L1Norm(dim)
 
 
 # ------------------------------------------------------ BoxIndicator.prox
@@ -117,8 +119,9 @@ def test_project_box_clamps():
 
 
 def test_project_box_rejects_empty_box():
-    with pytest.raises(ParameterError):
-        prox.BoxIndicator(1, 2.0, 1.0)
+    for lo, hi in ((2.0, 1.0), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(ParameterError):
+            prox.BoxIndicator(3, lo, hi)
 
 
 def test_box_indicator_value_at_bounds_outside_and_nan():
@@ -225,9 +228,9 @@ def test_prox_scaled_vanishing_step():
 
 
 def test_prox_scaled_rejects_nonpositive_scale():
-    for s in (0.0, -1.0):
+    for s in (0.0, -1.0, np.inf, True, "2"):
         with pytest.raises(ParameterError):
-            prox.Scaled(prox.L1Norm(1), s)
+            prox.Scaled(prox.L1Norm(3), s)
 
 
 # ----------------------------------------------- prox_weighted_conjugate
