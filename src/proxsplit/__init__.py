@@ -5,8 +5,8 @@ from .errors import (DimensionError, DivergenceError, ParameterError,
                      ProxsplitError)
 from .linops import (LinearOperator, atv, dense, first_difference, identity,
                      itv, op_norm_sq, safe_norm_sq, sparse, tv_gradient, zero)
-from .prox import (BoxIndicator, GroupL21, L1Norm, ProxTerm, Scaled,
-                   Translated, ZeroTerm, prox_conjugate)
+from .prox import (BoxIndicator, GroupL21, L1Norm, L1Pair, ProxTerm,
+                   Scaled, Translated, ZeroTerm, prox_conjugate)
 from .product import BlockStack
 from .solvers import (CompositeProblem, PiccsProblem, SmoothTerm,
                       SolverConfig, SolveReport, objective,

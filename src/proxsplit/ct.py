@@ -3,8 +3,8 @@
 Builds a Shepp-Logan phantom, a sparse Siddon line-length projector (fan or
 parallel geometry over the square [-1, 1]^2), noisy measurements, a noisy
 prior image, and the prior-image-regularized reconstruction problem
-0.5||Ax-b||^2 + lam1 ||D(x - x_p)||_1 + lam2 ||Dx||_1 + {x >= 0},
-together with SNR/NMSD quality metrics.
+0.5||Ax-b||^2 + lam1 ||D(x - x_p)||_1 + lam2 ||Dx||_1 + {x >= 0} (one block
+on D, with one dual: ``prox.L1Pair``), with SNR/NMSD quality metrics.
 """
 
 import math
@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from .errors import (ParameterError, ProxsplitError, as_vector, check_count,
                      check_real)
 from .linops import LinearOperator, tv_gradient
-from .prox import BoxIndicator, L1Norm, Scaled, Translated, ZeroTerm
+from .prox import BoxIndicator, L1Norm, L1Pair
 from .product import BlockStack
 from .rng import Stream, substream_seed
 from .solvers import (CompositeProblem, PiccsProblem, quadratic_data_term,
@@ -243,23 +243,12 @@ class PiccsInstance:
     D: LinearOperator
 
     def composite(self):
-        """The model as a CompositeProblem for the solvers."""
-        scene = self.scene
-        n2 = scene.n * scene.n
-        if scene.lambda1 > 0:
-            h1 = Scaled(Translated(L1Norm(self.D.rows),
-                                   self.D.apply(self.x_p)), scene.lambda1)
-        else:
-            h1 = ZeroTerm(self.D.rows)
-        if scene.lambda2 > 0:
-            h2 = Scaled(L1Norm(self.D.rows), scene.lambda2)
-        else:
-            h2 = ZeroTerm(self.D.rows)
-        return CompositeProblem(
-            smooth=quadratic_data_term(self.A, self.b),
-            simple=BoxIndicator(n2, 0.0, np.inf),
-            stack=BlockStack([(self.D, h1), (self.D, h2)]),
-        )
+        """The model for the solvers; its two penalties on D are one block."""
+        s = self.scene
+        h = L1Pair(s.lambda1, s.lambda2, self.D.apply(self.x_p))
+        return CompositeProblem(smooth=quadratic_data_term(self.A, self.b),
+                                simple=BoxIndicator(s.n * s.n, 0.0, np.inf),
+                                stack=BlockStack([(self.D, h)]))
 
     def admm_problem(self):
         """The same model as an explicit :class:`PiccsProblem` record."""

@@ -6,7 +6,7 @@ positive weights summing to 1, or unit weights for an unweighted stack
 (which therefore is not the same as equal weights).
 """
 
-from .errors import DimensionError, as_vector, check_real
+from .errors import DimensionError, ParameterError, as_vector, check_real
 from .linops import safe_norm_sq
 
 __all__ = ["BlockStack"]
@@ -37,7 +37,7 @@ class BlockStack:
                     f"{len(weights)} weights for {len(blocks)} blocks")
             for w in weights:
                 if check_real("weight", w) > 1:
-                    raise DimensionError("weights must lie in (0, 1]")
+                    raise ParameterError("weights must lie in (0, 1]")
             weights = tuple(map(float, weights))
             if abs(sum(weights) - 1.0) > 1e-12:
                 raise DimensionError(

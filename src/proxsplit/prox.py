@@ -6,13 +6,15 @@ they go through the Moreau decomposition
 ``prox_{t f*}(u) = u - t prox_{f/t}(u/t)``.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import (DimensionError, ParameterError, as_vector, check_count,
                      check_real)
 
 __all__ = [
-    "ProxTerm", "L1Norm", "GroupL21", "BoxIndicator", "ZeroTerm",
+    "ProxTerm", "L1Norm", "L1Pair", "GroupL21", "BoxIndicator", "ZeroTerm",
     "Translated", "Scaled", "prox_conjugate",
 ]
 
@@ -48,6 +50,33 @@ class L1Norm(ProxTerm):
         return u - np.clip(u, -t, t)
 
 
+class L1Pair(ProxTerm):
+    """x -> a ||x - c||_1 + b ||x||_1 with reals a, b >= 0 and a finite c."""
+
+    def __init__(self, a, b, c):
+        c = as_vector(c, what="shift")
+        super().__init__(c.size)
+        if not np.isfinite(c).all():
+            raise ParameterError("shift must be finite")
+        self.a = check_real("a", a, positive=False)
+        self.b = check_real("b", b, positive=False)
+        self.c, self.k1, self.k2 = c, np.minimum(c, 0.0), np.maximum(c, 0.0)
+        self.m = np.where(c > 0, b - a, a - b)
+
+    def value(self, x):
+        x = self._check(x)
+        # a weight of 0 adds 0, also where x is infinite (0 * inf is NaN)
+        return float((self.a and self.a * np.abs(x - self.c).sum())
+                     + (self.b and self.b * np.abs(x).sum()))
+
+    def prox(self, u, t):
+        """Componentwise u - s above k2, u - t m between, u + s below k1."""
+        u = self._check(u)
+        s = check_real("prox step", t) * (self.a + self.b)
+        return np.minimum(u + s, np.maximum(self.k1, np.minimum(
+            u - t * self.m, np.maximum(self.k2, u - s))))
+
+
 class GroupL21(ProxTerm):
     """||.||_{2,1} with the pairing (x_i, x_{p+i}), dim = 2p."""
 
@@ -79,10 +108,10 @@ class BoxIndicator(ProxTerm):
 
     def __init__(self, dim, lo=0.0, hi=np.inf):
         super().__init__(dim)
-        if not lo <= hi:
-            raise ParameterError(f"box needs lo <= hi, got {lo} and {hi}")
-        self.lo = lo
-        self.hi = hi
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in (lo, hi)) or not lo <= hi:
+            raise ParameterError(f"box needs reals lo <= hi: {lo!r}, {hi!r}")
+        self.lo, self.hi = lo, hi
 
     def value(self, x):
         x = self._check(x)

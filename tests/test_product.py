@@ -39,8 +39,10 @@ def test_rejects_bad_weights():
         BlockStack(blocks, weights=[0.5])
     with pytest.raises(DimensionError):
         BlockStack(blocks, weights=[0.7, 0.7])
-    with pytest.raises(DimensionError):
-        BlockStack(blocks, weights=[1.2, -0.2])
+    # a weight outside (0, 1] is a bad real whichever block has it
+    for weights in ([1.2, -0.2], [-0.2, 1.2]):
+        with pytest.raises(ParameterError):
+            BlockStack(blocks, weights=weights)
     with pytest.raises(ParameterError):
         BlockStack(blocks, weights=["0.5", 0.5])
     with pytest.raises(ParameterError):

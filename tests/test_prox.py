@@ -17,6 +17,7 @@ def sample_terms():
         prox.ZeroTerm(3),
         prox.Translated(prox.L1Norm(3), np.array([1.0, -0.5, 0.0])),
         prox.Scaled(prox.L1Norm(3), 0.7),
+        prox.L1Pair(0.4, 0.9, [1.0, -0.5, 0.0]),
     ]
 
 
@@ -60,6 +61,57 @@ def test_prox_l1_rejects_nonpositive_step():
     for t in (0.0, "1", True, np.inf):
         with pytest.raises(ParameterError):
             prox.L1Norm(1).prox([1.0], t)
+
+
+# ------------------------------------------------------------ L1Pair.prox
+
+# a > b, a < b, a = 0, b = 0 and a = b = 0
+L1_PAIR_WEIGHTS = [(0.9, 0.4), (0.4, 0.9), (0.0, 0.7), (0.7, 0.0), (0.0, 0.0)]
+# positive, negative and zero entries
+L1_PAIR_SHIFT = np.array([1.0, -0.5, 0.0])
+
+
+@pytest.mark.parametrize("a, b", L1_PAIR_WEIGHTS)
+def test_l1_pair_prox_matches_oracle(a, b):
+    f = prox.L1Pair(a, b, L1_PAIR_SHIFT)
+    rng = np.random.default_rng(29)
+    for t in (0.3, 1.0, 2.5):
+        for _ in range(2):
+            u = rng.standard_normal(3) * 2
+            want = prox_oracle(f.value, u, t)
+            assert np.allclose(f.prox(u, t), want, atol=1e-4), (u, t)
+
+
+@pytest.mark.parametrize("a, b", L1_PAIR_WEIGHTS)
+def test_l1_pair_value_and_moreau_residual(a, b):
+    rng = np.random.default_rng(31)
+    c = rng.standard_normal(40) * np.repeat([1.0, 0.0], 20)
+    f, l1 = prox.L1Pair(a, b, c), prox.L1Norm(c.size)
+    assert f.value(np.full(c.size, -np.inf)) == (np.inf if a or b else 0.0)
+    for _ in range(50):
+        w = rng.standard_normal(c.size) * 3
+        assert abs(f.value(w) - (a * l1.value(w - c) + b * l1.value(w))) \
+            <= 1e-12 * (1 + f.value(w))
+        t = float(rng.uniform(0.1, 10.0))
+        resid = np.linalg.norm(
+            f.prox(w, t) + t * prox.prox_conjugate(f, w / t, 1.0 / t) - w)
+        assert resid <= 1e-12 * (1 + np.linalg.norm(w))
+
+
+def test_l1_pair_validates_its_arguments():
+    for a, b in ((-0.1, 1.0), (1.0, np.inf), (True, 1.0), (1.0, "1")):
+        with pytest.raises(ParameterError):
+            prox.L1Pair(a, b, [0.0])
+    for c in ([0.0, np.inf], [np.nan]):
+        with pytest.raises(ParameterError):
+            prox.L1Pair(1.0, 1.0, c)
+    with pytest.raises(DimensionError):
+        prox.L1Pair(1.0, 1.0, [])
+    f = prox.L1Pair(1.0, 1.0, [0.0, 1.0])
+    with pytest.raises(DimensionError):
+        f.prox([1.0], 1.0)
+    with pytest.raises(ParameterError):
+        f.prox([1.0, 2.0], 0.0)
 
 
 # ---------------------------------------------------------- GroupL21.prox
@@ -122,6 +174,16 @@ def test_project_box_rejects_empty_box():
     for lo, hi in ((2.0, 1.0), (np.nan, 1.0), (0.0, np.nan)):
         with pytest.raises(ParameterError):
             prox.BoxIndicator(3, lo, hi)
+
+
+def test_box_bounds_are_reals_or_infinite():
+    for lo, hi in ((True, 2.0), ("a", 2.0), (None, 2.0), (0.0, np.nan),
+                   (0.0, False)):
+        with pytest.raises(ParameterError):
+            prox.BoxIndicator(3, lo, hi)
+    f = prox.BoxIndicator(3, -np.inf, 0.5)
+    assert np.array_equal(f.prox([-1e300, 0.0, 2.0], 1.0), [-1e300, 0.0, 0.5])
+    assert prox.BoxIndicator(1, np.int64(0), np.float64(1.0)).hi == 1.0
 
 
 def test_box_indicator_value_at_bounds_outside_and_nan():
