@@ -54,8 +54,12 @@ def check_real(name, value, positive=True):
 
 def as_vector(u, size=None, what="vector"):
     """``u`` as a flat float array, not copied when it already is one;
-    DimensionError unless it has ``size`` entries, when ``size`` is given."""
-    u = np.asarray(u, dtype=float).ravel()
+    DimensionError unless it is an array of reals (a ragged sequence or a
+    string is not) with ``size`` entries, when ``size`` is given."""
+    try:
+        u = np.asarray(u, dtype=float).ravel()
+    except (TypeError, ValueError) as err:
+        raise DimensionError(f"{what} is no array of reals: {err}") from err
     if size is not None and u.size != size:
         raise DimensionError(f"{what} has length {u.size}, expected {size}")
     return u

@@ -1,20 +1,31 @@
 """Product-space machinery for stacks of (operator, prox term) blocks.
 
-A stack represents the composite penalty sum_i h_i(B_i x).  Its dual
-product space carries the inner product sum_i w_i <y_i, z_i>: optional
-positive weights summing to 1, or unit weights for an unweighted stack
-(which therefore is not the same as equal weights).
+A stack represents the composite penalty sum_i h_i(B_i x) as one operator
+B = [B_1; ...; B_m] into the product space H = R^{m_1} x ... x R^{m_m}
+with the inner product sum_i w_i <y_i, z_i>: optional positive weights
+summing to 1, or unit weights for an unweighted stack (which therefore is
+not the same as equal weights).  A dual is one vector of H, its blocks in
+stack order, as in Condat (2013).
 """
 
+import numpy as np
+import scipy.sparse as sp
+
 from .errors import DimensionError, ParameterError, as_vector, check_real
-from .linops import safe_norm_sq
+from .linops import LinearOperator, safe_norm_sq
 
 __all__ = ["BlockStack"]
 
 
 class BlockStack:
     """Ordered blocks (B_i, h_i) over a common primal space; ``weights``
-    holds the w_i of the dual inner product, all 1.0 when none are given."""
+    holds the w_i of the dual inner product, all 1.0 when none are given.
+
+    ``op`` is B: the one block's own operator, or the rows of every B_i
+    stacked.  Block i of a dual of length ``dual_dim`` is its
+    ``slices[i]``; ``dual_weights`` repeats w_i over block i's rows, and is
+    None when every weight is 1.
+    """
 
     def __init__(self, blocks, weights=None):
         if not blocks:
@@ -43,10 +54,15 @@ class BlockStack:
                 raise DimensionError(
                     f"weights must sum to 1, got {sum(weights)}")
         self.weights = weights
-        groups = {}
-        for i, (op, _) in enumerate(self.blocks):
-            groups.setdefault(id(op), (op, []))[1].append(i)
-        self._groups = tuple(groups.values())
+        ops = [op for op, _ in self.blocks]
+        self.op = ops[0] if len(ops) == 1 else LinearOperator(
+            sp.vstack([op.matrix for op in ops], format="csr"))
+        self.dual_dim = self.op.rows
+        rows = [op.rows for op in ops]
+        ends = np.cumsum(rows).tolist()
+        self.slices = tuple(map(slice, [0] + ends[:-1], ends))
+        self.dual_weights = None if set(weights) == {1.0} \
+            else np.repeat(weights, rows)
         self._norm_sq = None
 
     @property
@@ -55,56 +71,34 @@ class BlockStack:
 
     @property
     def primal_dim(self):
-        return self.blocks[0][0].cols
-
-    def _check_ys(self, ys):
-        if len(ys) != self.m:
-            raise DimensionError(
-                f"expected {self.m} dual blocks, got {len(ys)}")
-        return [as_vector(y, op.rows, "dual block")
-                for (op, _), y in zip(self.blocks, ys)]
+        return self.op.cols
 
     def apply_blocks(self, x):
-        """[B_1 x, ..., B_m x], one product per distinct operator.
+        """B x, the products B_i x one after another."""
+        return self.op.apply(x)
 
-        Blocks that share an operator share the returned array; callers
-        must not modify it in place.
-        """
-        out = [None] * self.m
-        for op, idx in self._groups:
-            bx = op.apply(x)
-            for i in idx:
-                out[i] = bx
-        return out
+    def combined_adjoint(self, y):
+        """B^T (w * y) = sum_i w_i B_i^T y_i, with one adjoint product."""
+        y = as_vector(y, self.dual_dim, "dual")
+        return self.op.adjoint_apply(
+            y if self.dual_weights is None else self.dual_weights * y)
 
-    def combined_adjoint(self, ys):
-        """sum_i w_i B_i^T y_i.
-
-        Within a group of blocks sharing B, forms B^T (sum w_i y_i) with one
-        adjoint product; groups are summed in order of first appearance.
-        """
-        ys = self._check_ys(ys)
-        out = None
-        for op, idx in self._groups:
-            z = None
-            for i in idx:
-                w = self.weights[i]
-                wy = ys[i] if w == 1.0 else w * ys[i]
-                z = wy if z is None else z + wy
-            bz = op.adjoint_apply(z)
-            out = bz if out is None else out + bz
-        return out
-
-    def stacked_prox(self, ys, t):
+    def stacked_prox(self, y, t):
         """Blockwise prox of t h_i with the step t / w_i, for each block i."""
-        ys = self._check_ys(ys)
-        return [term.prox(y, t / w)
-                for (_, term), w, y in zip(self.blocks, self.weights, ys)]
+        y = as_vector(y, self.dual_dim, "dual")
+        ps = [term.prox(y[s], t / w) for (_, term), w, s
+              in zip(self.blocks, self.weights, self.slices)]
+        return ps[0] if self.m == 1 else np.concatenate(ps)
+
+    def value(self, y):
+        """sum_i h_i(y_i) at a dual-space point y."""
+        y = as_vector(y, self.dual_dim, "dual")
+        return sum(term.value(y[s])
+                   for (_, term), s in zip(self.blocks, self.slices))
 
     def norm_sq_bound(self):
         """Safety-factored bound on sum_i w_i ||B_i||^2, the squared norm of
-        (B_1, ..., B_m) into the weighted product space.  Cached after the
-        first call.
+        B into the weighted product space.  Cached after the first call.
         """
         if self._norm_sq is None:
             self._norm_sq = sum(w * safe_norm_sq(op) for (op, _), w

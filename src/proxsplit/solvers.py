@@ -22,7 +22,8 @@ configured tolerance.  The iterations need no objective value, so the
 driver evaluates the objective at every iterate only when a ``metric_fn``
 is traced; otherwise at the start point and the returned iterate alone.
 
-dfb and pdfb carry each dual divided by its dual step, as Chambolle & Pock
+A dual is one vector of the stack's product space, its blocks in stack
+order.  dfb and pdfb carry it divided by its dual step, as Chambolle & Pock
 (2011) and Condat (2013) write them, so no dual step rescales a full-length
 vector; their ``y0`` is taken unscaled.
 """
@@ -257,16 +258,11 @@ def objective(problem, x):
     return _objective(problem, x, problem.stack.apply_blocks(x))
 
 
-def _objective(problem, x, bxs):
-    """The objective at x given the block products bxs = [B_i x]."""
-    val = problem.smooth.value(x) + problem.simple.value(x)
-    if not np.isfinite(val):
-        return np.inf
-    for (_, term), bx in zip(problem.stack.blocks, bxs):
-        val += term.value(bx)
-        if not np.isfinite(val):
-            return np.inf
-    return val
+def _objective(problem, x, bx):
+    """The objective at x given the product bx = B x."""
+    val = (problem.smooth.value(x) + problem.simple.value(x)
+           + problem.stack.value(bx))
+    return val if np.isfinite(val) else np.inf
 
 
 def _check_finite(x, k):
@@ -283,19 +279,12 @@ def _residual(x_new, x_old):
     return float(change / denom if denom > 0 else change)
 
 
-def _start(v, size):
-    """A private copy of a starting vector; zeros when none is given."""
+def _start(v, size, scale=1.0):
+    """A private copy of a starting vector divided by ``scale``; zeros when
+    none is given."""
     if v is None:
         return np.zeros(size)
-    return as_vector(v, size, "start point").copy()
-
-
-def _init_duals(stack, y0, scale=1.0):
-    """Private copies of the starting duals divided by ``scale``; zeros
-    when none are given."""
-    if y0 is None:
-        return [np.zeros(op.rows) for op, _ in stack.blocks]
-    return [y / scale for y in stack._check_ys(y0)]
+    return as_vector(v, size, "start point") / scale
 
 
 def _validate(problem, config, algorithm):
@@ -345,112 +334,110 @@ def _iterate(cfg, iterates, metric_fn):
 def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
     """Dual forward-backward splitting (weighted or unweighted stack).
 
-    With t = lam / gamma, the duals y_i are carried as z_i = y_i / t; an
-    outer step sets u = x - gamma grad f(x), makes ``inner_iters`` steps
+    With t = lam / gamma, the dual y is carried as z = y / t; an outer step
+    sets u = x - gamma grad f(x), makes ``inner_iters`` steps
 
-        v   = prox_{gamma g}(u - lam sum_i w_i B_i^T z_i)
-        w_i = z_i + B_i v
-        z_i = w_i - prox_{h_i / (t w_i)}(w_i)
+        v   = prox_{gamma g}(u - lam B^T (w * z))
+        s   = z + B v
+        z_i = s_i - prox_{h_i / (t w_i)}(s_i)    for each block i
 
     (the last is y+ = prox_{t h*}(y + t B v) by Moreau's identity), and
-    ends with x+ = prox_{gamma g}(u - lam sum_i w_i B_i^T z_i).  ``y0`` is
-    given unscaled.
+    ends with x+ = prox_{gamma g}(u - lam B^T (w * z)).  ``y0`` is one
+    vector of length ``stack.dual_dim``, given unscaled.
     """
     cfg = _validate(problem, config, "dfb")
     stack, g = problem.stack, problem.simple
     gamma, lam = cfg.gamma, cfg.lam
     t = lam / gamma
 
-    def iterates(x, zs):
+    def iterates(x, z):
         yield x, lambda x=x: objective(problem, x)
-        # sum_i w_i B_i^T z_i of the current duals: the final step of one
-        # outer iteration and the first inner step of the next use the same
-        # zs.
-        btz = stack.combined_adjoint(zs)
+        # B^T (w * z) of the current dual: the final step of one outer
+        # iteration and the first inner step of the next use the same z.
+        btz = stack.combined_adjoint(z)
         while True:
             u = x - gamma * problem.smooth.gradient(x)
             for _ in range(cfg.inner_iters):
                 v = g.prox(u - lam * btz, gamma)
-                ws = [z + bv for z, bv in zip(zs, stack.apply_blocks(v))]
-                zs = [w - p for w, p in
-                      zip(ws, stack.stacked_prox(ws, 1.0 / t))]
-                btz = stack.combined_adjoint(zs)
+                s = z + stack.apply_blocks(v)
+                z = s - stack.stacked_prox(s, 1.0 / t)
+                btz = stack.combined_adjoint(z)
             x = g.prox(u - lam * btz, gamma)
             yield x, lambda x=x: objective(problem, x)
 
     return _iterate(cfg, iterates(_start(x0, problem.dim),
-                                  _init_duals(stack, y0, t)), metric_fn)
+                                  _start(y0, stack.dual_dim, t)), metric_fn)
 
 
 def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
     """Primal-dual forward-backward splitting.
 
-    The duals y_i are carried as z_i = y_i / sigma; an outer step sets
+    The dual y is carried as z = y / sigma; an outer step sets
     u = x - gamma grad f(x) and makes ``inner_iters`` steps
 
-        x+  = prox_{tau gamma g / (1 + tau)}((x - tau sigma
-                  sum_i w_i B_i^T z_i + tau u) / (1 + tau))
-        w_i = z_i + B_i (2 x+ - x)
-        z_i = w_i - prox_{gamma h_i / (sigma w_i)}(w_i)
+        x+  = prox_{tau gamma g / (1 + tau)}((x - tau sigma B^T (w * z)
+                  + tau u) / (1 + tau))
+        s   = z + B (2 x+ - x)
+        z_i = s_i - prox_{gamma h_i / (sigma w_i)}(s_i)    for each block i
 
     (the last is y+ = gamma prox_{(sigma/gamma) h*}((y + sigma B (2 x+ - x))
-    / gamma) by Moreau's identity applied to gamma h).  ``y0`` is given
-    unscaled.
+    / gamma) by Moreau's identity applied to gamma h).  ``y0`` is one
+    vector of length ``stack.dual_dim``, given unscaled.
     """
     cfg = _validate(problem, config, "pdfb")
     stack, g = problem.stack, problem.simple
     gamma, sigma, tau = cfg.gamma, cfg.sigma, cfg.tau
     step_g = tau * gamma / (1.0 + tau)
 
-    def iterates(x, zs):
+    def iterates(x, z):
         yield x, lambda x=x: objective(problem, x)
         while True:
             u = x - gamma * problem.smooth.gradient(x)
             for _ in range(cfg.inner_iters):
-                arg = (x - (tau * sigma) * stack.combined_adjoint(zs)
+                arg = (x - (tau * sigma) * stack.combined_adjoint(z)
                        + tau * u) / (1.0 + tau)
                 x_new = g.prox(arg, step_g)
-                ws = [z + bz for z, bz in
-                      zip(zs, stack.apply_blocks(2.0 * x_new - x))]
-                zs = [w - p for w, p in
-                      zip(ws, stack.stacked_prox(ws, gamma / sigma))]
+                s = z + stack.apply_blocks(2.0 * x_new - x)
+                z = s - stack.stacked_prox(s, gamma / sigma)
                 x = x_new
             yield x, lambda x=x: objective(problem, x)
 
     return _iterate(cfg, iterates(_start(x0, problem.dim),
-                                  _init_duals(stack, y0, sigma)), metric_fn)
+                                  _start(y0, stack.dual_dim, sigma)),
+                  metric_fn)
 
 
 def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
-    """Linearized ADMM with scaled duals v_i for the splits y_i = B_i x.
+    """Linearized ADMM with scaled dual v for the split y = B x.
 
     Block i carries the penalty rho_i = rho * w_i (rho when unweighted):
 
         x+  = prox_{gamma g}(x - gamma (grad f(x)
-                             + sum_i rho_i B_i^T (B_i x - y_i + v_i)))
-        y_i = prox_{h_i / rho_i}(B_i x+ + v_i)
-        v_i = v_i + B_i x+ - y_i
+                             + rho B^T (w * (B x - y + v))))
+        y_i = prox_{h_i / rho_i}(B_i x+ + v_i)    for each block i
+        v   = v + B x+ - y
+
+    ``y0`` and ``v0`` are each one vector of length ``stack.dual_dim``.
     """
     cfg = _validate(problem, config, "admm")
     stack, g = problem.stack, problem.simple
     gamma, rho = cfg.gamma, cfg.rho
 
-    def iterates(x, ys, vs):
+    def iterates(x, y, v):
         # B x of the current iterate, shared by the objective, the next
         # x-step and the y- and v-steps.
-        bxs = stack.apply_blocks(x)
-        yield x, lambda x=x, bxs=bxs: _objective(problem, x, bxs)
+        bx = stack.apply_blocks(x)
+        yield x, lambda x=x, bx=bx: _objective(problem, x, bx)
         while True:
-            aug = stack.combined_adjoint(
-                [bx - y + v for bx, y, v in zip(bxs, ys, vs)])
-            grad = problem.smooth.gradient(x) + rho * aug
+            grad = (problem.smooth.gradient(x)
+                    + rho * stack.combined_adjoint(bx - y + v))
             x = g.prox(x - gamma * grad, gamma)
-            bxs = stack.apply_blocks(x)
-            ss = [v + bx for v, bx in zip(vs, bxs)]
-            ys = stack.stacked_prox(ss, 1.0 / rho)
-            vs = [s - y for s, y in zip(ss, ys)]
-            yield x, lambda x=x, bxs=bxs: _objective(problem, x, bxs)
+            bx = stack.apply_blocks(x)
+            s = v + bx
+            y = stack.stacked_prox(s, 1.0 / rho)
+            v = s - y
+            yield x, lambda x=x, bx=bx: _objective(problem, x, bx)
 
     return _iterate(cfg, iterates(_start(x0, problem.dim),
-                                  _init_duals(stack, y0),
-                                  _init_duals(stack, v0)), metric_fn)
+                                  _start(y0, stack.dual_dim),
+                                  _start(v0, stack.dual_dim)), metric_fn)

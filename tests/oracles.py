@@ -44,16 +44,15 @@ class CountingOperator(linops.LinearOperator):
         return self.applies, self.adjoints
 
 
-def stacked_conjugate_prox(stack, ys, t):
-    """Blockwise prox of t sum_i h_i* under the stack's inner product.
+def stacked_conjugate_prox(stack, y, t):
+    """Prox of t sum_i h_i* under the stack's inner product at a dual y.
 
     Moreau's identity in that space gives it from ``stack.stacked_prox``:
-    y_i - t p_i with p = stacked_prox([y_i / t], 1 / t).
+    y - t p with p = stacked_prox(y / t, 1 / t).
     """
     check_real("prox step", t)
-    ys = [as_vector(y) for y in ys]
-    ps = stack.stacked_prox([y / t for y in ys], 1.0 / t)
-    return [y - t * p for y, p in zip(ys, ps)]
+    y = as_vector(y)
+    return y - t * stack.stacked_prox(y / t, 1.0 / t)
 
 
 def prox_weighted_conjugate(f, w, u, t):

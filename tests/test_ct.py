@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from proxsplit import ct, linops
+from proxsplit import ct
 from proxsplit.errors import DimensionError, ParameterError
 from proxsplit.rng import substream_seed
 from proxsplit.solvers import (SolverConfig, objective, solve_admm,

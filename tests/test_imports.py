@@ -1,0 +1,57 @@
+"""Every module under src/, tests/ and demos/ uses each name it imports.
+
+A name counts as used when the module reads it anywhere or lists it in
+``__all__``; a package's ``__init__.py`` imports to re-export, so all its
+names count as used.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def imported_names(tree):
+    """(name, line) of every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported_names(tree) if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = [p for top in ("src", "tests", "demos")
+             for p in sorted((ROOT / top).rglob("*.py"))
+             if p.name != "__init__.py"]
+    assert len(paths) > 10
+    unused = [hit for path in paths for hit in unused_imports(path)]
+    assert unused == []
+
+
+def test_unused_import_is_found():
+    tree = ast.parse("import os\nimport numpy.linalg\n"
+                     "from math import pi, tau as turn\n"
+                     "__all__ = ['pi']\nprint(numpy.linalg.norm([1.0]))\n")
+    assert sorted(name for name, _ in imported_names(tree)
+                  if name not in used_names(tree)) == ["os", "turn"]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from proxsplit import linops, prox
-from proxsplit.errors import DimensionError, DivergenceError, ParameterError
+from proxsplit.errors import (DimensionError, DivergenceError,
+                              ParameterError, as_vector)
 from proxsplit.product import BlockStack
 from proxsplit.solvers import (OPTIONS, CompositeProblem, SmoothTerm,
                                SolverConfig, objective, quadratic_data_term,
@@ -597,12 +598,16 @@ def shared_operator_problem(weights=None):
 
 
 def warm_starts(seed):
-    """A cold start and a warm one (nonzero x0 and unscaled duals y0) for
-    the shared-operator problem."""
+    """A cold start and a warm one (nonzero x0 and an unscaled dual y0, its
+    two blocks one after the other) for the shared-operator problem."""
     rng = np.random.default_rng(seed)
     return [{"x0": None, "y0": None},
-            {"x0": rng.standard_normal(6),
-             "y0": [rng.standard_normal(6) for _ in range(2)]}]
+            {"x0": rng.standard_normal(6), "y0": rng.standard_normal(12)}]
+
+
+def start_blocks(v):
+    """The two 6-entry blocks of a starting dual; zeros when it is None."""
+    return np.split(np.zeros(12) if v is None else v, 2)
 
 
 @pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
@@ -622,7 +627,7 @@ def test_dfb_inner_iterations_reproduce_direct_scheme(weights):
         iterates = capture_iterates(solve_dfb, problem, cfg, **start)
 
         x = np.zeros(6) if start["x0"] is None else start["x0"].copy()
-        ys = start["y0"] or [np.zeros(6), np.zeros(6)]
+        ys = start_blocks(start["y0"])
         for k in range(10):
             u = x - gamma * (x - b)
             for _ in range(3):
@@ -649,7 +654,7 @@ def test_pdfb_inner_iterations_reproduce_direct_scheme(weights):
         iterates = capture_iterates(solve_pdfb, problem, cfg, **start)
 
         x = np.zeros(6) if start["x0"] is None else start["x0"].copy()
-        ys = start["y0"] or [np.zeros(6), np.zeros(6)]
+        ys = start_blocks(start["y0"])
         xbar = x.copy()
         for k in range(10):
             u = x - gamma * (x - b)
@@ -669,7 +674,7 @@ def test_pdfb_inner_iterations_reproduce_direct_scheme(weights):
 
 
 def test_admm_shared_operator_matches_distinct_copies():
-    # blocks holding one operator object share B x and one fused adjoint
+    # blocks holding one operator object act as blocks on copies of it
     rng = np.random.default_rng(53)
     n = 6
     A = linops.dense(rng.standard_normal((8, n)))
@@ -705,15 +710,13 @@ def test_admm_reproduces_linearized_admm_scheme(weights):
                        eps=1e-300)
     rng = np.random.default_rng(54)
     cold = {"x0": None, "y0": None, "v0": None}
-    warm = {"x0": rng.standard_normal(6),
-            "y0": [rng.standard_normal(6) for _ in range(2)],
-            "v0": [rng.standard_normal(6) for _ in range(2)]}
+    warm = {"x0": rng.standard_normal(6), "y0": rng.standard_normal(12),
+            "v0": rng.standard_normal(12)}
     for start in (cold, warm):
         iterates = capture_iterates(solve_admm, problem, cfg, **start)
 
         x = np.zeros(6) if start["x0"] is None else start["x0"].copy()
-        ys = start["y0"] or [np.zeros(6), np.zeros(6)]
-        vs = start["v0"] or [np.zeros(6), np.zeros(6)]
+        ys, vs = start_blocks(start["y0"]), start_blocks(start["v0"])
         for k in range(10):
             x, ys, vs = linearized_admm_step(problem, gamma, rho, x, ys, vs)
             err = np.linalg.norm(iterates[k + 1] - x)
@@ -721,12 +724,17 @@ def test_admm_reproduces_linearized_admm_scheme(weights):
 
 
 def test_admm_rejects_wrong_length_starting_duals():
+    # a dual is one vector of length 12; a ragged sequence or a string is
+    # no vector at all
     problem, *_ = shared_operator_problem()
     cfg = SolverConfig("admm", max_outer=10)
-    with pytest.raises(DimensionError):
-        solve_admm(problem, cfg, v0=[np.zeros(6), np.zeros(5)])
-    with pytest.raises(DimensionError):
-        solve_admm(problem, cfg, v0=[np.zeros(6)])
+    for v0 in (np.zeros(11), [np.zeros(6)], [np.zeros(6), np.zeros(5)]):
+        with pytest.raises(DimensionError):
+            solve_admm(problem, cfg, v0=v0)
+    with pytest.raises(DimensionError, match="vector"):
+        prox.L1Norm(3).prox([[1.0, 2.0], [3.0]], 1.0)
+    with pytest.raises(DimensionError, match="vector"):
+        as_vector("abc")
 
 
 def per_iteration_counts(solve, problem, cfg, ops, **kw):
@@ -742,7 +750,8 @@ def per_iteration_counts(solve, problem, cfg, ops, **kw):
 
 
 def counted_problem():
-    """A data term on A and two blocks sharing D, both operators counted."""
+    """A data term on A and one block on D with the CT model's two
+    penalties, both operators counted."""
     rng = np.random.default_rng(54)
     n = 9
     A = CountingOperator(linops.dense(rng.standard_normal((12, n))))
@@ -750,16 +759,16 @@ def counted_problem():
     b = rng.standard_normal(12)
     composite = CompositeProblem(
         quadratic_data_term(A, b), prox.BoxIndicator(n),
-        BlockStack([(D, prox.L1Norm(2 * n)),
-                    (D, prox.Scaled(prox.L1Norm(2 * n), 0.5))]))
+        BlockStack([(D, prox.L1Pair(1.0, 0.5,
+                                    0.1 * rng.standard_normal(2 * n)))]))
     return composite, A, D
 
 
 def test_matvecs_per_iteration():
     # dfb and pdfb: A and A^T for the gradient, one D for the dual step,
-    # one D^T for both blocks, and, only when a metric is traced, one D for
-    # the objective (its Ax is the gradient's).  ADMM: A^T, one fused D^T,
-    # one D (shared by the y-step and any objective), one A.
+    # one D^T, and, only when a metric is traced, one D for the objective
+    # (its Ax is the gradient's).  ADMM: A^T, one D^T, one D (shared by the
+    # y-step and any objective), one A.
     composite, A, D = counted_problem()
     for traced in (False, True):
         kw = {"metric_fn": lambda x: 0.0} if traced else {}
@@ -838,13 +847,13 @@ def test_fixed_point_stays_fixed():
     lam = 0.5 / problem.stack.norm_sq_bound()
     cfg = SolverConfig("dfb", gamma=gamma, lam=lam, max_outer=100,
                        eps=1e-300)
-    xs = capture_iterates(solve_dfb, problem, cfg, x0=x0, y0=[y_star])
+    xs = capture_iterates(solve_dfb, problem, cfg, x0=x0, y0=y_star)
     assert all(np.linalg.norm(x - x_star) <= 1e-8 for x in xs)
     cfg_p = SolverConfig("pdfb", gamma=gamma, tau=1.0,
                          sigma=0.5 / problem.stack.norm_sq_bound(),
                          max_outer=100, eps=1e-300)
     xs = capture_iterates(solve_pdfb, problem, cfg_p, x0=x0,
-                          y0=[gamma * y_star])
+                          y0=gamma * y_star)
     assert all(np.linalg.norm(x - x_star) <= 1e-8 for x in xs)
 
 
