@@ -4,25 +4,26 @@
 reconstruction experiment described by a flat ``key = value`` config file
 and writes results.csv, per-run trace CSVs, and PGM reconstructions.
 
-Config keys (defaults in parentheses):
+Config keys:
 
-    scene.n (64)                scene.n_views (20)      scene.n_rays (95)
-    scene.geometry (fan)        scene.noise_var_b (0.01)
-    scene.noise_var_prior (0.01)
-    scene.seed (20170520)       scene.lambda1 (0.4)     scene.lambda2 (0.5)
-    run.solvers (dfb,pdfb,admm) run.eps (1e-6)          run.max_outer (40000)
+    run.solvers (dfb,pdfb,admm)  run.eps (1e-6)  run.max_outer (40000)
     run.out (.)
-    <algo>.gamma, dfb.lambda, dfb.inner_iters (1), pdfb.sigma, pdfb.tau,
-    pdfb.inner_iters (1), admm.rho (1.0)
+    scene.n, scene.n_views, scene.n_rays, scene.geometry, scene.noise_var_b,
+    scene.noise_var_prior, scene.seed, scene.lambda1, scene.lambda2
+    <algo>.gamma, dfb.lambda, dfb.inner_iters, pdfb.sigma, pdfb.tau,
+    pdfb.inner_iters, admm.rho
 
-The <algo>.* keys are those of the SolverConfig fields solvers.OPTIONS lists
-for the algorithm.  Any other key (so a setting an algorithm does not read,
-such as admm.lambda), a value no problem admits (a step, rho or eps that is
-not finite and positive, run.max_outer or inner_iters < 1, a noise variance
-or lambda that is negative or not finite), and two runs that would write
-the same files (one algorithm, eps equal in %g) are usage errors; a step
-outside its convergence bound for the scene is a solver failure.  Exit
-codes: 0 ok, 1 solver failure, 2 usage error.
+The run.* keys are the CLI's own, with their defaults in parentheses.  A
+scene.* key sets the ct.Scene field of its name, and an <algo>.* key the
+solvers.SolverConfig field (lambda sets lam) that solvers.OPTIONS lists for
+the algorithm; an unset key keeps that dataclass's default.  Any other key
+(so a setting an algorithm does not read, such as admm.lambda), a value no
+problem admits (a step, rho or eps that is not finite and positive,
+run.max_outer or inner_iters < 1, a noise variance or lambda that is
+negative or not finite), and two runs that would write the same files (one
+algorithm, eps equal in %g) are usage errors; a step outside its convergence
+bound for the scene is a solver failure.  Exit codes: 0 ok, 1 solver
+failure, 2 usage error.
 """
 
 import argparse

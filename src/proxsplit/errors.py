@@ -1,6 +1,6 @@
 """Exception types shared across the package, and its one rule for each
 kind of argument: a count (:func:`check_count`), a real (:func:`check_real`)
-and a vector (:func:`as_vector`).  A bool is neither a count nor a real.
+and a vector (:func:`as_vector`).  A bool is no count, real or vector.
 """
 
 import math
@@ -52,14 +52,20 @@ def check_real(name, value, positive=True):
     raise ParameterError(f"{name} must be {rule}, got {value!r}")
 
 
-def as_vector(u, size=None, what="vector"):
+def as_vector(u, size=None, what="vector", finite=False):
     """``u`` as a flat float array, not copied when it already is one;
-    DimensionError unless it is an array of reals (a ragged sequence or a
-    string is not) with ``size`` entries, when ``size`` is given."""
+    DimensionError unless it is an array of reals (not ragged, and no bool,
+    string or complex, which numpy would cast) with ``size`` entries, when
+    ``size`` is given; ParameterError if ``finite`` and an entry is not."""
     try:
-        u = np.asarray(u, dtype=float).ravel()
+        u = np.asarray(u)
+        if u.dtype.kind not in "iufO":
+            raise TypeError(f"its entries are {u.dtype}")
+        u = u.astype(float, copy=False).ravel()
     except (TypeError, ValueError) as err:
         raise DimensionError(f"{what} is no array of reals: {err}") from err
     if size is not None and u.size != size:
         raise DimensionError(f"{what} has length {u.size}, expected {size}")
+    if finite and not np.isfinite(u).all():
+        raise ParameterError(f"{what} has non-finite entries")
     return u

@@ -23,30 +23,27 @@ class ProxTerm:
     """A convex function known through its value and its prox.
 
     ``prox(u, t)`` returns the minimizer of ``0.5 ||x - u||^2 + t f(x)``;
-    ``value(x)`` may be +inf for indicators.
+    ``value(x)`` may be +inf for indicators.  These two check each call once
+    and pass a float vector of length ``dim`` (and a step t > 0) to the
+    closed forms ``_value(x)`` and ``_prox(u, t)`` that each term writes.
     """
 
     def __init__(self, dim):
         self.dim = check_count("dim", dim, error=DimensionError)
 
-    def _check(self, x):
-        return as_vector(x, self.dim)
-
     def value(self, x):
-        raise NotImplementedError
+        return self._value(as_vector(x, self.dim))
 
     def prox(self, u, t):
-        raise NotImplementedError
+        return self._prox(as_vector(u, self.dim), check_real("prox step", t))
 
 
 class L1Norm(ProxTerm):
-    def value(self, x):
-        return float(np.abs(self._check(x)).sum())
+    def _value(self, x):
+        return float(np.abs(x).sum())
 
-    def prox(self, u, t):
+    def _prox(self, u, t):
         """Soft threshold each component at level t."""
-        u = self._check(u)
-        check_real("prox step", t)
         return u - np.clip(u, -t, t)
 
 
@@ -54,25 +51,21 @@ class L1Pair(ProxTerm):
     """x -> a ||x - c||_1 + b ||x||_1 with reals a, b >= 0 and a finite c."""
 
     def __init__(self, a, b, c):
-        c = as_vector(c, what="shift")
+        c = as_vector(c, what="shift", finite=True)
         super().__init__(c.size)
-        if not np.isfinite(c).all():
-            raise ParameterError("shift must be finite")
         self.a = check_real("a", a, positive=False)
         self.b = check_real("b", b, positive=False)
         self.c, self.k1, self.k2 = c, np.minimum(c, 0.0), np.maximum(c, 0.0)
         self.m = np.where(c > 0, b - a, a - b)
 
-    def value(self, x):
-        x = self._check(x)
+    def _value(self, x):
         # a weight of 0 adds 0, also where x is infinite (0 * inf is NaN)
         return float((self.a and self.a * np.abs(x - self.c).sum())
                      + (self.b and self.b * np.abs(x).sum()))
 
-    def prox(self, u, t):
+    def _prox(self, u, t):
         """Componentwise u - s above k2, u - t m between, u + s below k1."""
-        u = self._check(u)
-        s = check_real("prox step", t) * (self.a + self.b)
+        s = t * (self.a + self.b)
         return np.minimum(u + s, np.maximum(self.k1, np.minimum(
             u - t * self.m, np.maximum(self.k2, u - s))))
 
@@ -85,15 +78,12 @@ class GroupL21(ProxTerm):
         if dim % 2:
             raise DimensionError("GroupL21 needs even dim")
 
-    def value(self, x):
-        x = self._check(x)
+    def _value(self, x):
         p = self.dim // 2
         return float(np.hypot(x[:p], x[p:]).sum())
 
-    def prox(self, u, t):
+    def _prox(self, u, t):
         """Group soft threshold of each pair (u_i, u_{p+i})."""
-        u = self._check(u)
-        check_real("prox step", t)
         p = self.dim // 2
         a, b = u[:p], u[p:]
         norms = np.hypot(a, b)
@@ -113,28 +103,24 @@ class BoxIndicator(ProxTerm):
             raise ParameterError(f"box needs reals lo <= hi: {lo!r}, {hi!r}")
         self.lo, self.hi = lo, hi
 
-    def value(self, x):
-        x = self._check(x)
+    def _value(self, x):
         # two reductions, no temporaries; a NaN fails both comparisons
         if self.lo <= x.min() and x.max() <= self.hi:
             return 0.0
         return np.inf
 
-    def prox(self, u, t):
-        check_real("prox step", t)
-        return np.clip(self._check(u), self.lo, self.hi)
+    def _prox(self, u, t):
+        return np.clip(u, self.lo, self.hi)
 
 
 class ZeroTerm(ProxTerm):
     """The zero function; its prox is the identity."""
 
-    def value(self, x):
-        self._check(x)
+    def _value(self, x):
         return 0.0
 
-    def prox(self, u, t):
-        check_real("prox step", t)
-        return self._check(u).copy()
+    def _prox(self, u, t):
+        return u.copy()
 
 
 class Translated(ProxTerm):
@@ -143,13 +129,13 @@ class Translated(ProxTerm):
     def __init__(self, inner, c):
         super().__init__(inner.dim)
         self.inner = inner
-        self.c = as_vector(c, inner.dim, "shift")
+        self.c = as_vector(c, inner.dim, "shift", finite=True)
 
-    def value(self, x):
-        return self.inner.value(self._check(x) - self.c)
+    def _value(self, x):
+        return self.inner._value(x - self.c)
 
-    def prox(self, u, t):
-        return self.c + self.inner.prox(self._check(u) - self.c, t)
+    def _prox(self, u, t):
+        return self.c + self.inner._prox(u - self.c, t)
 
 
 class Scaled(ProxTerm):
@@ -160,12 +146,11 @@ class Scaled(ProxTerm):
         self.inner = inner
         self.s = float(check_real("scale", s))
 
-    def value(self, x):
-        return self.s * self.inner.value(x)
+    def _value(self, x):
+        return self.s * self.inner._value(x)
 
-    def prox(self, u, t):
-        check_real("prox step", t)
-        return self.inner.prox(u, self.s * t)
+    def _prox(self, u, t):
+        return self.inner._prox(u, self.s * t)
 
 
 def prox_conjugate(f, u, t):

@@ -60,9 +60,7 @@ def quadratic_data_term(A, b):
     they saw (kept with a copy of that point and matched by content), so
     evaluating both at one x costs one product with A, not two.
     """
-    b = as_vector(b, A.rows, "b")
-    if not np.all(np.isfinite(b)):
-        raise ParameterError("b has non-finite entries")
+    b = as_vector(b, A.rows, "b", finite=True)
     last = [None, None]         # [x, A x - b]
 
     def residual(x):

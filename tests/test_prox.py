@@ -21,6 +21,19 @@ def sample_terms():
     ]
 
 
+def test_terms_write_only_closed_forms():
+    # ProxTerm.value and ProxTerm.prox check every call; a term defines
+    # its closed forms _value and _prox and inherits the two checked ones
+    terms = [getattr(prox, name) for name in prox.__all__]
+    terms = [c for c in terms if isinstance(c, type)
+             and issubclass(c, prox.ProxTerm) and c is not prox.ProxTerm]
+    assert len(terms) == 7
+    for cls in terms:
+        own = vars(cls)
+        assert "_value" in own and "_prox" in own, cls
+        assert "value" not in own and "prox" not in own, cls
+
+
 # ------------------------------------------------------------ L1Norm.prox
 
 
@@ -58,9 +71,12 @@ def test_prox_l1_matches_sign_max_formula():
 
 
 def test_prox_l1_rejects_nonpositive_step():
-    for t in (0.0, "1", True, np.inf):
-        with pytest.raises(ParameterError):
-            prox.L1Norm(1).prox([1.0], t)
+    # a wrapper's step is checked as its inner term's is
+    for f in (prox.L1Norm(1), prox.Scaled(prox.L1Norm(1), 2.0),
+              prox.Translated(prox.L1Norm(1), [0.5])):
+        for t in (0.0, "1", True, np.inf):
+            with pytest.raises(ParameterError):
+                f.prox([1.0], t)
 
 
 # ------------------------------------------------------------ L1Pair.prox
@@ -102,9 +118,12 @@ def test_l1_pair_validates_its_arguments():
     for a, b in ((-0.1, 1.0), (1.0, np.inf), (True, 1.0), (1.0, "1")):
         with pytest.raises(ParameterError):
             prox.L1Pair(a, b, [0.0])
+    # a shift is a finite vector, in L1Pair as in Translated
     for c in ([0.0, np.inf], [np.nan]):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="shift"):
             prox.L1Pair(1.0, 1.0, c)
+        with pytest.raises(ParameterError, match="shift"):
+            prox.Translated(prox.L1Norm(len(c)), c)
     with pytest.raises(DimensionError):
         prox.L1Pair(1.0, 1.0, [])
     f = prox.L1Pair(1.0, 1.0, [0.0, 1.0])
@@ -227,10 +246,10 @@ def test_moreau_identity_all_terms():
 
 def test_prox_conjugate_of_origin_indicator_is_identity():
     class OriginIndicator(prox.ProxTerm):
-        def value(self, x):
-            return 0.0 if not np.any(self._check(x)) else np.inf
+        def _value(self, x):
+            return 0.0 if not np.any(x) else np.inf
 
-        def prox(self, u, t):
+        def _prox(self, u, t):
             return np.zeros(self.dim)
 
     u = np.array([3.0, -1.0])

@@ -724,8 +724,8 @@ def test_admm_reproduces_linearized_admm_scheme(weights):
 
 
 def test_admm_rejects_wrong_length_starting_duals():
-    # a dual is one vector of length 12; a ragged sequence or a string is
-    # no vector at all
+    # a dual is one vector of length 12; a ragged sequence, a string or a
+    # bool is no vector at all, even where numpy would read it as numbers
     problem, *_ = shared_operator_problem()
     cfg = SolverConfig("admm", max_outer=10)
     for v0 in (np.zeros(11), [np.zeros(6)], [np.zeros(6), np.zeros(5)]):
@@ -733,8 +733,12 @@ def test_admm_rejects_wrong_length_starting_duals():
             solve_admm(problem, cfg, v0=v0)
     with pytest.raises(DimensionError, match="vector"):
         prox.L1Norm(3).prox([[1.0, 2.0], [3.0]], 1.0)
+    for bad in ("abc", "3.0", ["1", "2"], True, np.array([True, False]),
+                [1j], np.array([1 + 2j])):
+        with pytest.raises(DimensionError, match="vector"):
+            as_vector(bad)
     with pytest.raises(DimensionError, match="vector"):
-        as_vector("abc")
+        prox.L1Norm(2).prox(["1.5", "-2"], 1.0)
 
 
 def per_iteration_counts(solve, problem, cfg, ops, **kw):
@@ -875,11 +879,11 @@ class HalfSquaredNorm(prox.ProxTerm):
         super().__init__(dim)
         self.c = c
 
-    def value(self, y):
+    def _value(self, y):
         return 0.5 * self.c * float(y @ y)
 
-    def prox(self, u, t):
-        return self._check(u) / (1.0 + t * self.c)
+    def _prox(self, u, t):
+        return u / (1.0 + t * self.c)
 
 
 def quadratic_problem(A, B, c):
