@@ -59,8 +59,10 @@ def as_vector(u, size=None, what="vector", finite=False):
     ``size`` is given; ParameterError if ``finite`` and an entry is not."""
     try:
         u = np.asarray(u)
-        if u.dtype.kind not in "iufO":
-            raise TypeError(f"its entries are {u.dtype}")
+        if u.dtype.kind not in "iufO" or u.dtype.kind == "O" and not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                for v in u.flat):
+            raise TypeError(f"its {u.dtype} entries are not all reals")
         u = u.astype(float, copy=False).ravel()
     except (TypeError, ValueError) as err:
         raise DimensionError(f"{what} is no array of reals: {err}") from err

@@ -51,7 +51,7 @@ class BlockStack:
                     raise ParameterError("weights must lie in (0, 1]")
             weights = tuple(map(float, weights))
             if abs(sum(weights) - 1.0) > 1e-12:
-                raise DimensionError(
+                raise ParameterError(
                     f"weights must sum to 1, got {sum(weights)}")
         self.weights = weights
         ops = [op for op, _ in self.blocks]

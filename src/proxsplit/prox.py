@@ -150,7 +150,7 @@ class Scaled(ProxTerm):
         return self.s * self.inner._value(x)
 
     def _prox(self, u, t):
-        return self.inner._prox(u, self.s * t)
+        return self.inner._prox(u, check_real("prox step", self.s * t))
 
 
 def prox_conjugate(f, u, t):

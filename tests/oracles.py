@@ -127,24 +127,6 @@ def problem_oracle(obj, dim, lo=-10.0, hi=10.0, points=41):
     return refine(obj, start, rounds=6)
 
 
-def golden_min(fn, lo, hi, tol=1e-12):
-    """Golden-section minimizer of a unimodal scalar function."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
-
-
 def _ray_row(n, p0, d):
     """Siddon traversal: pixel indices and intersection lengths of the ray
     p0 + t*d (t in R) with the n x n grid on [-1, 1]^2."""

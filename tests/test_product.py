@@ -36,10 +36,9 @@ def test_rejects_bad_weights():
               (linops.identity(2), prox.L1Norm(2))]
     with pytest.raises(DimensionError):
         BlockStack(blocks, weights=[0.5])
-    with pytest.raises(DimensionError):
-        BlockStack(blocks, weights=[0.7, 0.7])
-    # a weight outside (0, 1] is a bad real whichever block has it
-    for weights in ([1.2, -0.2], [-0.2, 1.2]):
+    # weights that do not sum to 1 are bad reals, as is a weight outside
+    # (0, 1] whichever block has it
+    for weights in ([0.7, 0.7], [0.3, 0.3], [1.2, -0.2], [-0.2, 1.2]):
         with pytest.raises(ParameterError):
             BlockStack(blocks, weights=weights)
     with pytest.raises(ParameterError):
