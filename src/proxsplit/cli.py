@@ -20,10 +20,11 @@ the algorithm; an unset key keeps that dataclass's default.  Any other key
 (so a setting an algorithm does not read, such as admm.lambda), a value no
 problem admits (a step, rho or eps that is not finite and positive,
 run.max_outer or inner_iters < 1, a noise variance or lambda that is
-negative or not finite), and two runs that would write the same files (one
-algorithm, eps equal in %g) are usage errors; a step outside its convergence
-bound for the scene is a solver failure.  Exit codes: 0 ok, 1 solver
-failure, 2 usage error.
+negative or not finite), two runs that would write the same files (one
+algorithm, eps equal in %g), a config file that is unreadable or not UTF-8
+and an output directory that cannot be made are usage errors; a step outside
+its convergence bound for the scene is a solver failure.  Exit codes: 0 ok,
+1 solver failure, 2 usage error.
 """
 
 import argparse
@@ -49,7 +50,10 @@ class ConfigError(ProxsplitError):
 def parse_config(path):
     """Parse a flat 'key = value' file into a dict; '#' starts a comment."""
     out = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,7 +150,10 @@ def write_pgm(path, image_vec, n):
 def run(config_path, out_override=None, seed_override=None):
     cfg = parse_config(config_path)
     scene, configs, out_dir = build_runspec(cfg, out_override, seed_override)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out_dir}: {exc}")
     rows = run_experiment(scene, configs)
 
     results_lines = ["algorithm,eps,snr_db,nmsd,iterations,"
@@ -199,7 +206,7 @@ def main(argv=None):
     if args.command == "run":
         try:
             return run(args.config, args.out, args.seed)
-        except (ConfigError, FileNotFoundError) as exc:
+        except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     parser.print_usage(sys.stderr)

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError, as_vector, check_count, check_real
+from .errors import (DimensionError, ParameterError, as_vector, check_count,
+                     check_real)
 from .rng import Stream
 
 __all__ = [
@@ -23,7 +24,7 @@ __all__ = [
 class LinearOperator:
     """A bounded linear map stored as a CSR matrix.
 
-    Any 2-D input, dense or sparse, is converted to float CSR once, here.
+    Any finite 2-D input, dense or sparse, is converted to float CSR once.
     Immutable after construction; ``apply``/``adjoint_apply`` are pure.
     ``norm_sq`` gives ||B||^2 exactly when it is known in closed form;
     otherwise :func:`op_norm_sq` estimates it once per ``tol`` and keeps the
@@ -34,21 +35,24 @@ class LinearOperator:
         if np.ndim(mat) != 2:
             raise DimensionError("matrix must be 2-dimensional")
         mat = sp.csr_matrix(mat, dtype=float)
+        if not np.isfinite(mat.data).all():
+            raise ParameterError("matrix has non-finite entries")
         self._mat, self._matT = mat, mat.T.tocsr()
         self.rows, self.cols = mat.shape
         if self.rows < 1 or self.cols < 1:
             raise DimensionError(
                 f"operator dimensions must be positive, got {mat.shape}")
-        self._exact_norm_sq = None if norm_sq is None else float(norm_sq)
+        self._exact_norm_sq = None if norm_sq is None else float(
+            check_real("norm_sq", norm_sq, positive=False))
         self._norm_sq_cache = {}
 
     def apply(self, x):
         x = as_vector(x, self.cols, "apply input")
-        return np.asarray(self._mat @ x).ravel()
+        return self._mat @ x
 
     def adjoint_apply(self, y):
         y = as_vector(y, self.rows, "adjoint_apply input")
-        return np.asarray(self._matT @ y).ravel()
+        return self._matT @ y
 
     @property
     def matrix(self):

@@ -21,10 +21,10 @@ class BlockStack:
     """Ordered blocks (B_i, h_i) over a common primal space; ``weights``
     holds the w_i of the dual inner product, all 1.0 when none are given.
 
-    ``op`` is B: the one block's own operator, or the rows of every B_i
-    stacked.  Block i of a dual of length ``dual_dim`` is its
-    ``slices[i]``; ``dual_weights`` repeats w_i over block i's rows, and is
-    None when every weight is 1.
+    ``op`` is B (B x is ``op.apply(x)``, on ``op.cols`` entries): the one
+    block's own operator, or the rows of every B_i stacked.  Block i of a
+    dual of length ``dual_dim`` is its ``slices[i]``; ``dual_weights``
+    repeats w_i over block i's rows, and is None when every weight is 1.
     """
 
     def __init__(self, blocks, weights=None):
@@ -63,19 +63,6 @@ class BlockStack:
         self.slices = tuple(map(slice, [0] + ends[:-1], ends))
         self.dual_weights = None if set(weights) == {1.0} \
             else np.repeat(weights, rows)
-        self._norm_sq = None
-
-    @property
-    def m(self):
-        return len(self.blocks)
-
-    @property
-    def primal_dim(self):
-        return self.op.cols
-
-    def apply_blocks(self, x):
-        """B x, the products B_i x one after another."""
-        return self.op.apply(x)
 
     def combined_adjoint(self, y):
         """B^T (w * y) = sum_i w_i B_i^T y_i, with one adjoint product."""
@@ -88,7 +75,7 @@ class BlockStack:
         y = as_vector(y, self.dual_dim, "dual")
         ps = [term.prox(y[s], t / w) for (_, term), w, s
               in zip(self.blocks, self.weights, self.slices)]
-        return ps[0] if self.m == 1 else np.concatenate(ps)
+        return ps[0] if len(ps) == 1 else np.concatenate(ps)
 
     def value(self, y):
         """sum_i h_i(y_i) at a dual-space point y."""
@@ -98,9 +85,6 @@ class BlockStack:
 
     def norm_sq_bound(self):
         """Safety-factored bound on sum_i w_i ||B_i||^2, the squared norm of
-        B into the weighted product space.  Cached after the first call.
-        """
-        if self._norm_sq is None:
-            self._norm_sq = sum(w * safe_norm_sq(op) for (op, _), w
-                                in zip(self.blocks, self.weights))
-        return self._norm_sq
+        B into the weighted product space; each B_i keeps its ||B_i||^2."""
+        return sum(w * safe_norm_sq(op) for (op, _), w
+                   in zip(self.blocks, self.weights))

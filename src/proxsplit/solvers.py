@@ -52,6 +52,9 @@ class SmoothTerm:
     gradient: callable
     lipschitz: float
 
+    def __post_init__(self):
+        check_real("lipschitz", self.lipschitz, positive=False)
+
 
 def quadratic_data_term(A, b):
     """SmoothTerm for 0.5 ||Ax - b||^2 with gradient A^T(Ax - b).
@@ -88,14 +91,14 @@ class CompositeProblem:
     stack: object           # BlockStack
 
     def __post_init__(self):
-        if self.simple.dim != self.stack.primal_dim:
+        if self.simple.dim != self.stack.op.cols:
             raise DimensionError(
                 f"g dim {self.simple.dim} != stack primal dim "
-                f"{self.stack.primal_dim}")
+                f"{self.stack.op.cols}")
 
     @property
     def dim(self):
-        return self.stack.primal_dim
+        return self.stack.op.cols
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,8 @@ class SolverConfig:
 
     def __post_init__(self):
         """Reject values no problem admits; validate_params checks bounds."""
-        if self.algorithm not in OPTIONS:
+        if not isinstance(self.algorithm, str) \
+                or self.algorithm not in OPTIONS:
             raise ParameterError(f"unknown algorithm {self.algorithm!r}; "
                                  f"valid: {tuple(OPTIONS)}")
         reads = ("algorithm", "max_outer", "eps") + OPTIONS[self.algorithm]
@@ -253,7 +257,7 @@ def validate_params(problem, config):
 def objective(problem, x):
     """f(x) + g(x) + sum_i h_i(B_i x); +inf if an indicator is violated."""
     x = as_vector(x, problem.dim)
-    return _objective(problem, x, problem.stack.apply_blocks(x))
+    return _objective(problem, x, problem.stack.op.apply(x))
 
 
 def _objective(problem, x, bx):
@@ -357,7 +361,7 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
             u = x - gamma * problem.smooth.gradient(x)
             for _ in range(cfg.inner_iters):
                 v = g.prox(u - lam * btz, gamma)
-                s = z + stack.apply_blocks(v)
+                s = z + stack.op.apply(v)
                 z = s - stack.stacked_prox(s, 1.0 / t)
                 btz = stack.combined_adjoint(z)
             x = g.prox(u - lam * btz, gamma)
@@ -395,7 +399,7 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
                 arg = (x - (tau * sigma) * stack.combined_adjoint(z)
                        + tau * u) / (1.0 + tau)
                 x_new = g.prox(arg, step_g)
-                s = z + stack.apply_blocks(2.0 * x_new - x)
+                s = z + stack.op.apply(2.0 * x_new - x)
                 z = s - stack.stacked_prox(s, gamma / sigma)
                 x = x_new
             yield x, lambda x=x: objective(problem, x)
@@ -424,13 +428,13 @@ def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
     def iterates(x, y, v):
         # B x of the current iterate, shared by the objective, the next
         # x-step and the y- and v-steps.
-        bx = stack.apply_blocks(x)
+        bx = stack.op.apply(x)
         yield x, lambda x=x, bx=bx: _objective(problem, x, bx)
         while True:
             grad = (problem.smooth.gradient(x)
                     + rho * stack.combined_adjoint(bx - y + v))
             x = g.prox(x - gamma * grad, gamma)
-            bx = stack.apply_blocks(x)
+            bx = stack.op.apply(x)
             s = v + bx
             y = stack.stacked_prox(s, 1.0 / rho)
             v = s - y

@@ -203,8 +203,18 @@ def test_run_seed_override_changes_results(tmp_path):
         != (out2 / "results.csv").read_bytes()
 
 
-def test_run_missing_config_is_usage_error(tmp_path):
-    assert cli.main(["run", str(tmp_path / "none.cfg")]) == cli.EXIT_USAGE
+def test_run_missing_config_is_usage_error(tmp_path, capsys):
+    # a config that is missing, a directory or not UTF-8, and an --out that
+    # names an existing file, each end in one error line, not a traceback
+    cfg = write_config(tmp_path)
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(BASE_CONFIG.encode() + b"# caf\xe9\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in ([str(tmp_path / "none.cfg")], [str(tmp_path)],
+                 [str(latin1)], [str(cfg), "--out", str(taken)]):
+        assert cli.main(["run"] + argv) == cli.EXIT_USAGE, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_run_unknown_algorithm_is_usage_error(tmp_path, capsys):

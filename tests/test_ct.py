@@ -303,7 +303,7 @@ def test_composite_objective_matches_written_out_model():
 def test_composite_is_one_block_on_d():
     inst = ct.build_instance(small_scene())
     stack = inst.composite().stack
-    assert stack.m == 1
+    assert len(stack.blocks) == 1
     assert stack.blocks[0][0] is inst.D
 
 

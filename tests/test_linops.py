@@ -35,12 +35,35 @@ def test_apply_zero_vector_gives_zero():
         assert np.array_equal(op.apply(np.zeros(op.cols)), np.zeros(op.rows))
 
 
+# np.matrix is deprecated, but a caller may still pass one
+@pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
 def test_dense_input_is_stored_as_float_csr():
-    op = linops.dense([[1, 0, 2], [0, 3, 0]])
-    assert op.matrix.format == "csr" and op.matrix.dtype == float
-    assert op.matrix.nnz == 3
-    assert np.array_equal(op.to_dense(), [[1, 0, 2], [0, 3, 0]])
-    assert np.array_equal(op.adjoint_apply([1, 1]), [1, 3, 2])
+    # every input kind gives float CSR, and products that are flat float64
+    # arrays of the operator's lengths
+    rows = [[1, 0, 2], [0, 3, 0]]
+    for mat in (rows, np.array(rows), np.matrix(rows), sp.coo_matrix(rows),
+                sp.csr_array(rows), sp.csc_array(rows)):
+        op = linops.dense(mat)
+        assert op.matrix.format == "csr" and op.matrix.dtype == float
+        assert op.matrix.nnz == 3
+        assert np.array_equal(op.to_dense(), rows)
+        for got, want in ((op.apply([1, 1, 1]), [3, 3]),
+                          (op.adjoint_apply([1, 1]), [1, 3, 2])):
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.ndim == 1 and np.array_equal(got, want)
+
+
+def test_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        mat = np.array([[1.0, 0.0], [bad, 2.0]])
+        for make in (linops.dense, linops.sparse):
+            for given in (mat, sp.csr_matrix(mat)):
+                with pytest.raises(ParameterError, match="non-finite"):
+                    make(given)
+    # a closed-form ||B||^2 is read by the step gates as it is given
+    for bad in (np.nan, np.inf, -1.0, "1", True):
+        with pytest.raises(ParameterError, match="norm_sq"):
+            linops.LinearOperator(np.eye(2), norm_sq=bad)
 
 
 def test_rejects_input_that_is_not_2d():

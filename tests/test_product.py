@@ -5,7 +5,8 @@ from proxsplit import linops, prox
 from proxsplit.errors import DimensionError, ParameterError
 from proxsplit.product import BlockStack
 
-from oracles import prox_weighted_conjugate, stacked_conjugate_prox
+from oracles import (CountingOperator, prox_weighted_conjugate,
+                     stacked_conjugate_prox)
 from test_acceptance import sample_terms
 
 
@@ -49,7 +50,7 @@ def test_rejects_bad_weights():
 
 def test_single_block_weight_one_allowed():
     stack = BlockStack([(linops.identity(2), prox.L1Norm(2))], weights=[1.0])
-    assert stack.m == 1
+    assert len(stack.blocks) == 1
 
 
 # ---------------------------------------------- one operator, one dual vector
@@ -76,7 +77,7 @@ def test_blocks_are_slices_of_one_dual():
                                                          (10, 22)]
     for _ in range(5):
         x, y = rng.standard_normal(6), rng.standard_normal(22)
-        bx = stack.apply_blocks(x)
+        bx = stack.op.apply(x)
         for t in (0.05, 0.7, 4.0):
             p = stack.stacked_prox(y, t)
             for (op, term), w, s in zip(stack.blocks, stack.weights,
@@ -286,6 +287,20 @@ def test_norm_bound_unweighted_identity_pair():
 def test_norm_bound_weighted_identity_pair():
     stack = two_identity_stack(weights=[0.5, 0.5])
     assert stack.norm_sq_bound() == pytest.approx(1.0, rel=1e-6)
+
+
+def test_norm_bound_reuses_block_norms():
+    # each ||B_i||^2 is kept on B_i, so a second bound makes no product
+    rng = np.random.default_rng(48)
+    ops = [CountingOperator(linops.dense(rng.standard_normal((4, 3))))
+           for _ in range(2)]
+    stack = BlockStack([(op, prox.ZeroTerm(4)) for op in ops],
+                       weights=[0.4, 0.6])
+    first = stack.norm_sq_bound()
+    assert all(op.applies > 0 for op in ops)
+    counts = [op.counts() for op in ops]
+    assert stack.norm_sq_bound() == first
+    assert [op.counts() for op in ops] == counts
 
 
 def test_norm_bound_dominates_dense_eigen_oracle():

@@ -90,6 +90,14 @@ def test_quadratic_data_term_lipschitz_bound():
         assert lhs <= rhs + 1e-9 * rhs
 
 
+def test_smooth_term_rejects_bad_lipschitz():
+    # L = 0 stays valid; the step gates read only a finite L >= 0
+    SmoothTerm(lambda x: 0.0, np.zeros_like, 0.0)
+    for bad in (np.nan, np.inf, -1.0, "1", True):
+        with pytest.raises(ParameterError, match="lipschitz"):
+            SmoothTerm(lambda x: 0.0, np.zeros_like, bad)
+
+
 def test_quadratic_data_term_rejects_bad_rhs():
     A = linops.identity(3)
     with pytest.raises(DimensionError):
@@ -149,8 +157,9 @@ def test_validate_rejects_boundary_sigma_tau_product():
 
 def test_validate_rejects_unknown_algorithm():
     problem = tv_denoise_problem(FOUR_PIXEL_B)
-    with pytest.raises(ParameterError):
-        validate_params(problem, SolverConfig("newton"))
+    for algorithm in ("newton", ["dfb"]):
+        with pytest.raises(ParameterError):
+            validate_params(problem, SolverConfig(algorithm))
 
 
 def test_sigma_tau_gate_implies_condat_balance():
