@@ -159,12 +159,20 @@ def build_projector(scene):
     with the same elementwise arithmetic as a ray-by-ray loop, so the CSR
     arrays match the per-ray form bit for bit.
     """
+    return LinearOperator(_projector_matrix(scene))
+
+
+def _projector_matrix(scene):
+    """The CSR matrix of :func:`build_projector`.  Its per-view lists die
+    with this call, before the operator builds A^T; column indices are
+    int32 from the start when n * n fits, as scipy would store them."""
     n = scene.n
     offsets = -1.0 + (np.arange(scene.n_rays) + 0.5) * 2.0 / scene.n_rays
     if scene.geometry == "fan":
         angles = np.arange(scene.n_views) * 2.0 * math.pi / scene.n_views
     else:
         angles = np.arange(scene.n_views) * math.pi / scene.n_views
+    index_dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
     counts, indices, data = [], [], []
     for theta in angles:
         c, s = math.cos(theta), math.sin(theta)
@@ -178,18 +186,20 @@ def build_projector(scene):
             p0, d = perp, np.repeat([[c], [s]], offsets.size, axis=1)
         k, idx, lengths = _view_rows(n, p0, d)
         counts.append(k)
-        indices.append(idx)
+        indices.append(idx.astype(index_dtype, copy=False))
         data.append(lengths)
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    mat = sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr),
-        shape=(scene.n_views * scene.n_rays, n * n))
-    return LinearOperator(mat)
+    # one list at a time, each freed as it is joined
+    data = np.concatenate(data)
+    indices = np.concatenate(indices)
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(scene.n_views * scene.n_rays, n * n))
 
 
 def add_gaussian_noise(v, variance, seed):
     """v plus i.i.d. N(0, variance) noise from the portable stream."""
     check_real("variance", variance, positive=False)
+    check_count("seed", seed, least=None)
     v = as_vector(v)
     if variance == 0:
         return v.copy()

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and its one rule for each
-kind of argument: a count (:func:`check_count`), a real (:func:`check_real`)
-and a vector (:func:`as_vector`).  A bool is no count, real or vector.
+kind of argument: a count (:func:`check_count`), a real (:func:`check_real`),
+an array of reals (:func:`check_reals`) and a vector (:func:`as_vector`).
+A bool is no count, real or vector.
 """
 
 import math
@@ -52,18 +53,28 @@ def check_real(name, value, positive=True):
     raise ParameterError(f"{name} must be {rule}, got {value!r}")
 
 
+def check_reals(u, what="vector"):
+    """``u``, a numpy or scipy.sparse array, if its entries are reals: an
+    integer or float dtype, or objects that are all reals and no bools.
+    DimensionError for a bool, complex, string or other entry, which numpy
+    would cast or parse."""
+    kind = u.dtype.kind
+    if kind in "iuf" or kind == "O" and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            for v in u.flat):
+        return u
+    raise DimensionError(
+        f"{what} is no array of reals: its {u.dtype} entries are not all "
+        "reals")
+
+
 def as_vector(u, size=None, what="vector", finite=False):
     """``u`` as a flat float array, not copied when it already is one;
-    DimensionError unless it is an array of reals (not ragged, and no bool,
-    string or complex, which numpy would cast) with ``size`` entries, when
-    ``size`` is given; ParameterError if ``finite`` and an entry is not."""
+    DimensionError unless it is an array of reals (not ragged, and see
+    :func:`check_reals`) with ``size`` entries, when ``size`` is given;
+    ParameterError if ``finite`` and an entry is not."""
     try:
-        u = np.asarray(u)
-        if u.dtype.kind not in "iufO" or u.dtype.kind == "O" and not all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool)
-                for v in u.flat):
-            raise TypeError(f"its {u.dtype} entries are not all reals")
-        u = u.astype(float, copy=False).ravel()
+        u = check_reals(np.asarray(u), what).astype(float, copy=False).ravel()
     except (TypeError, ValueError) as err:
         raise DimensionError(f"{what} is no array of reals: {err}") from err
     if size is not None and u.size != size:

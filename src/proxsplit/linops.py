@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (DimensionError, ParameterError, as_vector, check_count,
-                     check_real)
+                     check_real, check_reals)
 from .rng import Stream
 
 __all__ = [
@@ -24,7 +24,8 @@ __all__ = [
 class LinearOperator:
     """A bounded linear map stored as a CSR matrix.
 
-    Any finite 2-D input, dense or sparse, is converted to float CSR once.
+    Any finite 2-D array of reals, dense or sparse, is converted to float
+    CSR once; bool, complex and string entries are refused, not cast.
     Immutable after construction; ``apply``/``adjoint_apply`` are pure.
     ``norm_sq`` gives ||B||^2 exactly when it is known in closed form;
     otherwise :func:`op_norm_sq` estimates it once per ``tol`` and keeps the
@@ -32,7 +33,9 @@ class LinearOperator:
     """
 
     def __init__(self, mat, norm_sq=None):
-        if np.ndim(mat) != 2:
+        if not sp.issparse(mat):
+            mat = np.asarray(mat)
+        if check_reals(mat, "matrix").ndim != 2:
             raise DimensionError("matrix must be 2-dimensional")
         mat = sp.csr_matrix(mat, dtype=float)
         if not np.isfinite(mat.data).all():

@@ -19,6 +19,8 @@ import operator
 
 import numpy as np
 
+from .errors import check_count
+
 _GOLDEN = 0x9E3779B97F4A7C15
 _TAG_MULT = 0xD2B74407B1CE6E93
 
@@ -36,16 +38,21 @@ def mix64(z: int) -> int:
     return int(_mix64_array(z)[0])
 
 
+def _seed(seed):
+    """``seed`` as an int, if it is an integer and not a bool."""
+    return operator.index(check_count("seed", seed, least=None))
+
+
 def substream_seed(master_seed: int, tag: int) -> int:
     """Derive an independent stream seed for a named purpose tag."""
-    return mix64(operator.index(master_seed) ^ (tag * _TAG_MULT))
+    return mix64(_seed(master_seed) ^ (tag * _TAG_MULT))
 
 
 class Stream:
     """A single splitmix64 stream with an advancing counter."""
 
     def __init__(self, seed: int):
-        self.seed = np.uint64(operator.index(seed) & 0xFFFFFFFFFFFFFFFF)
+        self.seed = np.uint64(_seed(seed) & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
 
     def uniforms(self, count: int) -> np.ndarray:

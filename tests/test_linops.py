@@ -51,6 +51,16 @@ def test_dense_input_is_stored_as_float_csr():
                           (op.adjoint_apply([1, 1]), [1, 3, 2])):
             assert type(got) is np.ndarray and got.dtype == np.float64
             assert got.ndim == 1 and np.array_equal(got, want)
+    # bool, complex and string entries are refused, not cast or parsed:
+    # the rule of as_vector, read from a sparse input's dtype
+    for bad in ([[True, False]], [[1 + 2j, 0]]):
+        for given in (bad, np.array(bad), sp.csr_matrix(bad)):
+            with pytest.raises(DimensionError, match="reals"):
+                linops.dense(given)
+    for bad in ([["1", "2"]], np.array([[1, True]], dtype=object),
+                np.array([[1, 2j]], dtype=object)):
+        with pytest.raises(DimensionError, match="reals"):
+            linops.LinearOperator(bad)
 
 
 def test_rejects_non_finite_entries():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from proxsplit.errors import ParameterError
 from proxsplit.rng import Stream, mix64, substream_seed
 
 
@@ -62,10 +63,11 @@ def test_numpy_integer_seeds_match_python_ints():
         assert substream_seed(np.int64(seed), 1) == substream_seed(seed, 1)
         assert np.array_equal(Stream(np.int64(seed)).uniforms(9),
                               Stream(seed).uniforms(9))
-    for bad in (1.5, "3"):
-        with pytest.raises(TypeError):
+    # a bool is no count
+    for bad in (1.5, "3", None, True):
+        with pytest.raises(ParameterError, match="seed"):
             Stream(bad)
-        with pytest.raises(TypeError):
+        with pytest.raises(ParameterError, match="seed"):
             substream_seed(bad, 1)
 
 
