@@ -99,51 +99,8 @@ def shepp_logan(n):
 
 def _hypot(x, y):
     """math.hypot per entry (np.hypot may round differently)."""
-    return np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
-
-
-def _view_rows(n, p0, d):
-    """Siddon traversal of one view's rays p0[:, r] + t*d[:, r] (t in R)
-    through the n x n grid on [-1, 1]^2.
-
-    Returns each ray's number of crossed pixels, then the column-major
-    pixel indices and intersection lengths of all rays, ray after ray.
-    """
-    rays = p0.shape[1]
-    planes = np.linspace(-1.0, 1.0, n + 1)
-    tmin, tmax = np.full(rays, -np.inf), np.full(rays, np.inf)
-    hit = np.ones(rays, dtype=bool)
-    crossings = []
-    for p, v in zip(p0, d):
-        moving = v != 0.0
-        # a ray parallel to this axis's grid lines must lie between them
-        hit &= moving | ((-1.0 <= p) & (p <= 1.0))
-        t1 = np.divide(-1.0 - p, v, out=np.full(rays, -np.inf), where=moving)
-        t2 = np.divide(1.0 - p, v, out=np.full(rays, np.inf), where=moving)
-        tmin = np.maximum(tmin, np.minimum(t1, t2))
-        tmax = np.minimum(tmax, np.maximum(t1, t2))
-        crossings.append(np.divide(
-            planes - p[:, None], v[:, None],
-            out=np.full((rays, n + 1), np.inf), where=moving[:, None]))
-    hit &= tmin < tmax
-    tmin = np.where(hit, tmin, 0.0)[:, None]
-    tmax = np.where(hit, tmax, 0.0)[:, None]
-    # Crossings outside (tmin, tmax) become copies of tmax, so after the
-    # sort every zero-length step is a duplicate np.unique would drop.
-    ts = [tmin, tmax] + [np.where((t > tmin) & (t < tmax), t, tmax)
-                         for t in crossings]
-    ts = np.sort(np.concatenate(ts, axis=1), axis=1)
-    seg = ts[:, 1:] - ts[:, :-1]
-    keep = seg > 0
-    counts = keep.sum(axis=1)
-    ray = np.repeat(np.arange(rays), counts)
-    mid_t = (ts[:, :-1][keep] + ts[:, 1:][keep]) / 2.0
-    mx = p0[0][ray] + mid_t * d[0][ray]
-    my = p0[1][ray] + mid_t * d[1][ray]
-    cols = np.clip(((mx + 1.0) / 2.0 * n).astype(int), 0, n - 1)
-    rows = np.clip(((1.0 - my) / 2.0 * n).astype(int), 0, n - 1)
-    speed = _hypot(d[0], d[1])
-    return counts, rows + cols * n, seg[keep] * speed[ray]
+    pairs = zip(x.ravel().tolist(), y.ravel().tolist())
+    return np.array([math.hypot(a, b) for a, b in pairs]).reshape(x.shape)
 
 
 def build_projector(scene):
@@ -155,39 +112,71 @@ def build_projector(scene):
     perpendicular to the source direction, spanning [-1, 1].  Parallel
     geometry: views over [0, 180), rays offset across [-1, 1].
 
-    Siddon's exact traversal runs as one array pass over each view's rays,
-    with the same elementwise arithmetic as a ray-by-ray loop, so the CSR
-    arrays match the per-ray form bit for bit.
+    Siddon's exact traversal runs as array passes, with the same
+    elementwise arithmetic as a ray-by-ray loop, so the CSR arrays match
+    the per-ray form bit for bit.
     """
     return LinearOperator(_projector_matrix(scene))
 
 
 def _projector_matrix(scene):
-    """The CSR matrix of :func:`build_projector`.  Its per-view lists die
-    with this call, before the operator builds A^T; column indices are
-    int32 from the start when n * n fits, as scipy would store them."""
-    n = scene.n
-    offsets = -1.0 + (np.arange(scene.n_rays) + 0.5) * 2.0 / scene.n_rays
+    """The CSR matrix of :func:`build_projector`.
+
+    Each ray p0 + t*d (t in R) gets its length per unit t and its entry and
+    exit (tmin, tmax) on [-1, 1]^2 once.  Each view's table of tmin, tmax
+    and grid-line crossings per ray is then clamped to [tmin, tmax] and
+    sorted: a clamped copy or a grid corner makes a zero-length step, and
+    each other step is one pixel's intersection.  Indices are int32 when
+    n * n fits, as scipy keeps them; the lists die before A^T is built.
+    """
+    n, rays = scene.n, scene.n_rays
+    offsets = -1.0 + (np.arange(rays) + 0.5) * 2.0 / rays
+    turn = 2.0 * math.pi if scene.geometry == "fan" else math.pi
+    angles = (np.arange(scene.n_views) * turn / scene.n_views).tolist()
+    # (cos, sin) of each view, shape (2, n_views, 1)
+    axis = np.array([(math.cos(a), math.sin(a)) for a in angles]).T[:, :, None]
+    perp = np.stack([offsets * -axis[1], offsets * axis[0]])
     if scene.geometry == "fan":
-        angles = np.arange(scene.n_views) * 2.0 * math.pi / scene.n_views
+        p0 = SOURCE_RADIUS * axis
+        d = perp - p0
+        d /= _hypot(d[0], d[1])
     else:
-        angles = np.arange(scene.n_views) * math.pi / scene.n_views
+        p0, d = perp, axis          # a view's rays share d
+    speed = _hypot(d[0], d[1])
+    shape = perp.shape[1:]
+    tmin, tmax = np.full(shape, -np.inf), np.full(shape, np.inf)
+    hit = np.ones(shape, dtype=bool)
+    for p, v in zip(p0, d):
+        moving = v != 0.0
+        # a ray parallel to this axis's grid lines must lie between them
+        hit &= moving | ((-1.0 <= p) & (p <= 1.0))
+        t1 = np.divide(-1.0 - p, v, out=np.full(shape, -np.inf), where=moving)
+        t2 = np.divide(1.0 - p, v, out=np.full(shape, np.inf), where=moving)
+        tmin = np.maximum(tmin, np.minimum(t1, t2))
+        tmax = np.minimum(tmax, np.maximum(t1, t2))
+    hit &= tmin < tmax
+    tmin, tmax = np.where(hit, tmin, 0.0), np.where(hit, tmax, 0.0)
+    planes = np.linspace(-1.0, 1.0, n + 1)
     index_dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
     counts, indices, data = [], [], []
-    for theta in angles:
-        c, s = math.cos(theta), math.sin(theta)
-        # t * perp for each detector offset t
-        perp = np.array([offsets * -s, offsets * c])
-        if scene.geometry == "fan":
-            p0 = SOURCE_RADIUS * np.repeat([[c], [s]], offsets.size, axis=1)
-            d = perp - p0
-            d /= _hypot(d[0], d[1])
-        else:
-            p0, d = perp, np.repeat([[c], [s]], offsets.size, axis=1)
-        k, idx, lengths = _view_rows(n, p0, d)
-        counts.append(k)
-        indices.append(idx.astype(index_dtype, copy=False))
-        data.append(lengths)
+    for view in range(scene.n_views):
+        ts = np.full((rays, 2 * n + 4), np.inf)
+        ts[:, 0], ts[:, 1] = tmin[view], tmax[view]
+        for out, p, v in zip((ts[:, 2:n + 3], ts[:, n + 3:]),
+                             p0[:, view], d[:, view]):
+            np.divide(planes - p[:, None], v[:, None], out=out,
+                      where=(v != 0.0)[:, None])
+        np.clip(ts, tmin[view, :, None], tmax[view, :, None], out=ts)
+        ts.sort(axis=1)
+        seg = ts[:, 1:] - ts[:, :-1]
+        keep = seg > 0
+        mid_t = (ts[:, :-1] + ts[:, 1:]) / 2.0
+        (px, py), (dx, dy) = p0[:, view, :, None], d[:, view, :, None]
+        cols = ((px + mid_t * dx + 1.0) / 2.0 * n)[keep].astype(index_dtype)
+        rows = ((1.0 - (py + mid_t * dy)) / 2.0 * n)[keep].astype(index_dtype)
+        counts.append(keep.sum(axis=1))
+        indices.append(np.clip(rows, 0, n - 1) + np.clip(cols, 0, n - 1) * n)
+        data.append((seg * speed[view, :, None])[keep])
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     # one list at a time, each freed as it is joined
     data = np.concatenate(data)

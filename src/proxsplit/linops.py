@@ -33,8 +33,11 @@ class LinearOperator:
     """
 
     def __init__(self, mat, norm_sq=None):
-        if not sp.issparse(mat):
-            mat = np.asarray(mat)
+        try:
+            mat = mat if sp.issparse(mat) else np.asarray(mat)
+        except (TypeError, ValueError) as err:
+            raise DimensionError(
+                f"matrix is no array of reals: {err}") from err
         if check_reals(mat, "matrix").ndim != 2:
             raise DimensionError("matrix must be 2-dimensional")
         mat = sp.csr_matrix(mat, dtype=float)

@@ -66,8 +66,12 @@ class L1Pair(ProxTerm):
     def _prox(self, u, t):
         """Componentwise u - s above k2, u - t m between, u + s below k1."""
         s = t * (self.a + self.b)
-        return np.minimum(u + s, np.maximum(self.k1, np.minimum(
-            u - t * self.m, np.maximum(self.k2, u - s))))
+        # four clamps in two arrays, operands in order for signs of zero
+        x, y = np.multiply(t, self.m), np.subtract(u, s)
+        np.minimum(np.subtract(u, x, out=x), np.maximum(self.k2, y, out=y),
+                   out=x)
+        np.maximum(self.k1, x, out=x)
+        return np.minimum(np.add(u, s, out=y), x, out=x)
 
 
 class GroupL21(ProxTerm):

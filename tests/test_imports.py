@@ -1,8 +1,10 @@
-"""Every module under src/, tests/ and demos/ uses each name it imports.
+"""Every module under src/, tests/ and demos/ uses each name it imports,
+and the package imports itself by relative names only.
 
 A name counts as used when the module reads it anywhere or lists it in
 ``__all__``; a package's ``__init__.py`` imports to re-export, so all its
-names count as used.
+names count as used.  Relative imports let two copies of the package load
+side by side under different names, as an in-process A/B comparison needs.
 """
 
 import ast
@@ -40,6 +42,19 @@ def unused_imports(path):
             for name, line in imported_names(tree) if name not in used]
 
 
+def absolute_self_imports(tree):
+    """Line of every import of ``proxsplit`` by its absolute name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "proxsplit" for name in names):
+            yield node.lineno
+
+
 def test_no_module_imports_a_name_it_never_uses():
     paths = [p for top in ("src", "tests", "demos")
              for p in sorted((ROOT / top).rglob("*.py"))
@@ -55,3 +70,18 @@ def test_unused_import_is_found():
                      "__all__ = ['pi']\nprint(numpy.linalg.norm([1.0]))\n")
     assert sorted(name for name, _ in imported_names(tree)
                   if name not in used_names(tree)) == ["os", "turn"]
+
+
+def test_the_package_imports_itself_by_relative_names_only():
+    paths = sorted((ROOT / "src" / "proxsplit").rglob("*.py"))
+    assert len(paths) > 5
+    hits = [f"{path.relative_to(ROOT)}:{line}" for path in paths
+            for line in absolute_self_imports(ast.parse(path.read_text()))]
+    assert hits == []
+
+
+def test_absolute_self_import_is_found():
+    tree = ast.parse("import proxsplit.rng\nfrom proxsplit import ct\n"
+                     "import numpy, proxsplit as ps\nfrom . import ct\n"
+                     "from .rng import Stream\nimport proxsplitter\n")
+    assert list(absolute_self_imports(tree)) == [1, 2, 3]

@@ -63,6 +63,10 @@ def test_numpy_integer_seeds_match_python_ints():
         assert substream_seed(np.int64(seed), 1) == substream_seed(seed, 1)
         assert np.array_equal(Stream(np.int64(seed)).uniforms(9),
                               Stream(seed).uniforms(9))
+    # and so are counts and tags
+    assert substream_seed(7, np.int64(-2)) == substream_seed(7, -2)
+    assert np.array_equal(Stream(1).gaussians(np.int64(3)),
+                          Stream(1).gaussians(3))
     # a bool is no count
     for bad in (1.5, "3", None, True):
         with pytest.raises(ParameterError, match="seed"):
@@ -73,3 +77,21 @@ def test_numpy_integer_seeds_match_python_ints():
 
 def test_different_seeds_give_different_streams():
     assert not np.array_equal(Stream(1).uniforms(20), Stream(2).uniforms(20))
+
+
+@pytest.mark.parametrize("draw", ["uniforms", "gaussians"])
+@pytest.mark.parametrize("bad", [2.5, -3, True, "2", None])
+def test_a_count_is_an_integer_at_least_zero(draw, bad):
+    # a fractional or negative count would move the counter off the
+    # integers or back, and later draws would repeat earlier ones
+    stream = Stream(1)
+    with pytest.raises(ParameterError, match="count"):
+        getattr(stream, draw)(bad)
+    assert getattr(stream, draw)(0).size == 0
+    assert np.array_equal(stream.uniforms(2), Stream(1).uniforms(2))
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1", None])
+def test_a_tag_is_an_integer(bad):
+    with pytest.raises(ParameterError, match="tag"):
+        substream_seed(7, bad)
