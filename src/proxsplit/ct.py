@@ -127,7 +127,7 @@ def _projector_matrix(scene):
     and grid-line crossings per ray is then clamped to [tmin, tmax] and
     sorted: a clamped copy or a grid corner makes a zero-length step, and
     each other step is one pixel's intersection.  Indices are int32 when
-    n * n fits, as scipy keeps them; the lists die before A^T is built.
+    n * n fits, as scipy keeps them.
     """
     n, rays = scene.n, scene.n_rays
     offsets = -1.0 + (np.arange(rays) + 0.5) * 2.0 / rays
@@ -206,16 +206,24 @@ def _check_pair(x, x_r):
 
 
 def snr(x, x_r):
-    """10 log10(||x - mean(x)||^2 / ||x_r - x||^2) in dB; +inf if exact."""
+    """10 log10(||x - mean(x)||^2 / ||x_r - x||^2) in dB; +inf if exact,
+    -inf if the error overflows."""
     x, x_r, power = _check_pair(x, x_r)
     return _snr_db(power, x_r - x)
 
 
+def _err_sq(err):
+    """||err||^2, inf without a warning when it overflows."""
+    with np.errstate(over="ignore"):
+        return float(err @ err)
+
+
 def _snr_db(power, err):
-    err_sq = float(err @ err)
+    err_sq = _err_sq(err)
     if err_sq == 0.0:
         return np.inf
-    return 10.0 * math.log10(power / err_sq)
+    ratio = power / err_sq
+    return -np.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
 
 
 def _snr_metric(x):
@@ -226,9 +234,9 @@ def _snr_metric(x):
 
 
 def nmsd(x, x_r):
-    """||x - x_r|| / ||x - mean(x)||."""
+    """||x - x_r|| / ||x - mean(x)||; inf if the error overflows."""
     x, x_r, power = _check_pair(x, x_r)
-    return float(np.linalg.norm(x - x_r)) / math.sqrt(power)
+    return math.sqrt(_err_sq(x - x_r)) / math.sqrt(power)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,15 @@ __all__ = [
 
 
 class LinearOperator:
-    """A bounded linear map stored as a CSR matrix.
+    """A bounded linear map stored as one CSR matrix.
 
     Any finite 2-D array of reals, dense or sparse, is converted to float
-    CSR once; bool, complex and string entries are refused, not cast.
+    CSR once; bool, complex and string entries are refused, not cast.  A
+    float CSR input is kept as given: its ``data``, ``indices`` and
+    ``indptr`` are shared with the caller, so changing them later changes
+    the operator.  ``adjoint_apply`` multiplies by the matrix's transpose
+    view, a CSC matrix over those same three arrays made once here, so each
+    nonzero is stored once.
     Immutable after construction; ``apply``/``adjoint_apply`` are pure.
     ``norm_sq`` gives ||B||^2 exactly when it is known in closed form;
     otherwise :func:`op_norm_sq` estimates it once per ``tol`` and keeps the
@@ -43,7 +48,7 @@ class LinearOperator:
         mat = sp.csr_matrix(mat, dtype=float)
         if not np.isfinite(mat.data).all():
             raise ParameterError("matrix has non-finite entries")
-        self._mat, self._matT = mat, mat.T.tocsr()
+        self._mat, self._matT = mat, mat.T
         self.rows, self.cols = mat.shape
         if self.rows < 1 or self.cols < 1:
             raise DimensionError(

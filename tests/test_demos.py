@@ -1,12 +1,10 @@
 """The scripts in demos/ run against the current API.
 
-The two quick demos run to completion in a subprocess; the CT demo solves
-the desk-scale scene with all three solvers and takes minutes, so it is
-only compiled.
+Each demo runs to completion in a subprocess.  The CT demo solves the
+desk-scale scene with all three solvers at eps 1e-5, in a few seconds.
 """
 
 import os
-import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +16,8 @@ DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("name", ["tv_denoising.py",
-                                  "product_space_equivalences.py"])
+                                  "product_space_equivalences.py",
+                                  "ct_reconstruction.py"])
 def test_demo_runs(name):
     path = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(
         os.pathsep)
@@ -28,8 +27,3 @@ def test_demo_runs(name):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 
-
-def test_ct_demo_compiles(tmp_path):
-    py_compile.compile(str(DEMOS / "ct_reconstruction.py"),
-                       cfile=str(tmp_path / "ct_reconstruction.pyc"),
-                       doraise=True)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from proxsplit import linops
+from proxsplit import ct, linops
 from proxsplit.errors import DimensionError, ParameterError
 
 from oracles import CountingOperator
@@ -108,6 +110,29 @@ def test_dense_adjoint_is_explicit_transpose():
     op = linops.dense(M)
     y = rng.standard_normal(2)
     assert np.allclose(op.adjoint_apply(y), M.T @ y, rtol=0, atol=1e-15)
+
+
+def test_operator_stores_its_matrix_once_and_adjoint_keeps_its_bits():
+    # The adjoint multiplies by a transpose view over the matrix's own
+    # arrays: building an operator from a float CSR allocates no second
+    # copy (a transposed CSR copy is 100% of the matrix's bytes) ...
+    desk = ct.build_projector(ct.Scene()).matrix
+    tracemalloc.start()
+    try:
+        linops.LinearOperator(desk)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(getattr(desk, name).nbytes
+               for name in ("data", "indices", "indptr"))
+    assert allocated < 0.1 * size
+    # ... and gives the same bits as a product with that copy.
+    rng = np.random.default_rng(5)
+    for op in (linops.LinearOperator(desk), linops.tv_gradient(5, 7),
+               linops.dense(rng.standard_normal((6, 4)))):
+        y = rng.standard_normal(op.rows)
+        assert np.array_equal(op.adjoint_apply(y),
+                              op.matrix.T.tocsr() @ y)
 
 
 def test_adjoint_identity_random_pairs():
