@@ -114,20 +114,12 @@ def build_projector(scene):
 
     Siddon's exact traversal runs as array passes, with the same
     elementwise arithmetic as a ray-by-ray loop, so the CSR arrays match
-    the per-ray form bit for bit.
-    """
-    return LinearOperator(_projector_matrix(scene))
-
-
-def _projector_matrix(scene):
-    """The CSR matrix of :func:`build_projector`.
-
-    Each ray p0 + t*d (t in R) gets its length per unit t and its entry and
-    exit (tmin, tmax) on [-1, 1]^2 once.  Each view's table of tmin, tmax
-    and grid-line crossings per ray is then clamped to [tmin, tmax] and
-    sorted: a clamped copy or a grid corner makes a zero-length step, and
-    each other step is one pixel's intersection.  Indices are int32 when
-    n * n fits, as scipy keeps them.
+    the per-ray form bit for bit.  Each ray p0 + t*d (t in R) gets its
+    length per unit t and its entry and exit (tmin, tmax) on [-1, 1]^2
+    once.  Each view's table of tmin, tmax and grid-line crossings per ray
+    is then clamped to [tmin, tmax] and sorted: a clamped copy or a grid
+    corner makes a zero-length step, and each other step is one pixel's
+    intersection.  Indices are int32 when n * n fits, as scipy keeps them.
     """
     n, rays = scene.n, scene.n_rays
     offsets = -1.0 + (np.arange(rays) + 0.5) * 2.0 / rays
@@ -181,8 +173,8 @@ def _projector_matrix(scene):
     # one list at a time, each freed as it is joined
     data = np.concatenate(data)
     indices = np.concatenate(indices)
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(scene.n_views * scene.n_rays, n * n))
+    return LinearOperator(sp.csr_matrix(
+        (data, indices, indptr), shape=(scene.n_views * scene.n_rays, n * n)))
 
 
 def add_gaussian_noise(v, variance, seed):
@@ -198,16 +190,16 @@ def add_gaussian_noise(v, variance, seed):
 def _check_pair(x, x_r):
     x = as_vector(x)
     x_r = as_vector(x_r, x.size, "reconstruction")
-    centered = x - x.mean()
-    power = float(centered @ centered)
+    with np.errstate(over="ignore"):
+        power = _err_sq(x - x.mean())
     if power == 0.0:
         raise ParameterError("reference image is constant")
     return x, x_r, power
 
 
 def snr(x, x_r):
-    """10 log10(||x - mean(x)||^2 / ||x_r - x||^2) in dB; +inf if exact,
-    -inf if the error overflows."""
+    """10 log10(||x - mean(x)||^2 / ||x_r - x||^2) in dB; +inf if exact or
+    only the power overflows, -inf if only the error does."""
     x, x_r, power = _check_pair(x, x_r)
     return _snr_db(power, x_r - x)
 
@@ -234,7 +226,8 @@ def _snr_metric(x):
 
 
 def nmsd(x, x_r):
-    """||x - x_r|| / ||x - mean(x)||; inf if the error overflows."""
+    """||x - x_r|| / ||x - mean(x)||; inf or 0 if only the error or only the
+    power overflows."""
     x, x_r, power = _check_pair(x, x_r)
     return math.sqrt(_err_sq(x - x_r)) / math.sqrt(power)
 

@@ -353,11 +353,11 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
     t = lam / gamma
 
     def iterates(x, z):
-        yield x, lambda x=x: objective(problem, x)
         # B^T (w * z) of the current dual: the final step of one outer
         # iteration and the first inner step of the next use the same z.
         btz = stack.combined_adjoint(z)
         while True:
+            yield x, lambda x=x: objective(problem, x)
             u = x - gamma * problem.smooth.gradient(x)
             for _ in range(cfg.inner_iters):
                 v = g.prox(u - lam * btz, gamma)
@@ -365,7 +365,6 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
                 z = s - stack.stacked_prox(s, 1.0 / t)
                 btz = stack.combined_adjoint(z)
             x = g.prox(u - lam * btz, gamma)
-            yield x, lambda x=x: objective(problem, x)
 
     return _iterate(cfg, iterates(_start(x0, problem.dim),
                                   _start(y0, stack.dual_dim, t)), metric_fn)
@@ -392,8 +391,8 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
     step_g = tau * gamma / (1.0 + tau)
 
     def iterates(x, z):
-        yield x, lambda x=x: objective(problem, x)
         while True:
+            yield x, lambda x=x: objective(problem, x)
             u = x - gamma * problem.smooth.gradient(x)
             for _ in range(cfg.inner_iters):
                 arg = (x - (tau * sigma) * stack.combined_adjoint(z)
@@ -402,7 +401,6 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
                 s = z + stack.op.apply(2.0 * x_new - x)
                 z = s - stack.stacked_prox(s, gamma / sigma)
                 x = x_new
-            yield x, lambda x=x: objective(problem, x)
 
     return _iterate(cfg, iterates(_start(x0, problem.dim),
                                   _start(y0, stack.dual_dim, sigma)),
@@ -429,8 +427,8 @@ def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
         # B x of the current iterate, shared by the objective, the next
         # x-step and the y- and v-steps.
         bx = stack.op.apply(x)
-        yield x, lambda x=x, bx=bx: _objective(problem, x, bx)
         while True:
+            yield x, lambda x=x, bx=bx: _objective(problem, x, bx)
             grad = (problem.smooth.gradient(x)
                     + rho * stack.combined_adjoint(bx - y + v))
             x = g.prox(x - gamma * grad, gamma)
@@ -438,7 +436,6 @@ def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
             s = v + bx
             y = stack.stacked_prox(s, 1.0 / rho)
             v = s - y
-            yield x, lambda x=x, bx=bx: _objective(problem, x, bx)
 
     return _iterate(cfg, iterates(_start(x0, problem.dim),
                                   _start(y0, stack.dual_dim),

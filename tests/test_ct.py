@@ -271,6 +271,20 @@ def test_nmsd_of_an_overflowing_reconstruction_is_infinite():
         assert np.isnan(ct.nmsd(phantom, np.full(64, np.nan)))
 
 
+def test_snr_and_nmsd_of_an_overflowing_reference_take_their_limits():
+    # the reference's centred power overflows, its mean too for y; where
+    # the error overflows as well (x against zeros) no limit exists
+    x = np.array([0.0, 1e200])
+    y = np.array([1e308, 1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ct.snr(x, x + 1) == np.inf
+        assert ct.nmsd(x, x + 1) == 0.0
+        assert ct.snr(x, x) == np.inf
+        assert np.isnan(ct.snr(x, np.zeros(2)))
+        assert ct.snr(y, y + 1) == np.inf
+
+
 def test_snr_rejects_constant_reference():
     with pytest.raises(ParameterError):
         ct.snr(np.ones(4), np.zeros(4))
