@@ -190,10 +190,12 @@ def add_gaussian_noise(v, variance, seed):
 def _check_pair(x, x_r):
     x = as_vector(x)
     x_r = as_vector(x_r, x.size, "reconstruction")
+    if not x.size or x.min() == x.max():
+        raise ParameterError("reference image is constant")
     with np.errstate(over="ignore"):
         power = _err_sq(x - x.mean())
     if power == 0.0:
-        raise ParameterError("reference image is constant")
+        raise ParameterError("reference image's centred power underflows")
     return x, x_r, power
 
 

@@ -8,6 +8,7 @@ import math
 import numbers
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class ProxsplitError(Exception):
@@ -53,11 +54,16 @@ def check_real(name, value, positive=True):
     raise ParameterError(f"{name} must be {rule}, got {value!r}")
 
 
-def check_reals(u, what="vector"):
-    """``u``, a numpy or scipy.sparse array, if its entries are reals: an
-    integer or float dtype, or objects that are all reals and no bools.
-    DimensionError for a bool, complex, string or other entry, which numpy
+def check_reals(u, what="vector", sparse=False):
+    """``u`` as a numpy array, or as it is if ``sparse`` and it is a
+    scipy.sparse array, when its entries are reals: an integer or float
+    dtype, or objects that are all reals and no bools.  DimensionError for
+    a ragged input, or a bool, complex, string or other entry, which numpy
     would cast or parse."""
+    try:
+        u = u if sparse and sp.issparse(u) else np.asarray(u)
+    except (TypeError, ValueError) as err:
+        raise DimensionError(f"{what} is no array of reals: {err}") from err
     kind = u.dtype.kind
     if kind in "iuf" or kind == "O" and all(
             isinstance(v, numbers.Real) and not isinstance(v, bool)
@@ -73,10 +79,7 @@ def as_vector(u, size=None, what="vector", finite=False):
     DimensionError unless it is an array of reals (not ragged, and see
     :func:`check_reals`) with ``size`` entries, when ``size`` is given;
     ParameterError if ``finite`` and an entry is not."""
-    try:
-        u = check_reals(np.asarray(u), what).astype(float, copy=False).ravel()
-    except (TypeError, ValueError) as err:
-        raise DimensionError(f"{what} is no array of reals: {err}") from err
+    u = check_reals(u, what).astype(float, copy=False).ravel()
     if size is not None and u.size != size:
         raise DimensionError(f"{what} has length {u.size}, expected {size}")
     if finite and not np.isfinite(u).all():

@@ -10,8 +10,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (DimensionError, ParameterError, as_vector, check_count,
-                     check_real, check_reals)
+from .errors import (DimensionError, as_vector, check_count, check_real,
+                     check_reals)
 from .rng import Stream
 
 __all__ = [
@@ -38,16 +38,11 @@ class LinearOperator:
     """
 
     def __init__(self, mat, norm_sq=None):
-        try:
-            mat = mat if sp.issparse(mat) else np.asarray(mat)
-        except (TypeError, ValueError) as err:
-            raise DimensionError(
-                f"matrix is no array of reals: {err}") from err
-        if check_reals(mat, "matrix").ndim != 2:
+        mat = check_reals(mat, "matrix", sparse=True)
+        if mat.ndim != 2:
             raise DimensionError("matrix must be 2-dimensional")
         mat = sp.csr_matrix(mat, dtype=float)
-        if not np.isfinite(mat.data).all():
-            raise ParameterError("matrix has non-finite entries")
+        as_vector(mat.data, what="matrix", finite=True)
         self._mat, self._matT = mat, mat.T
         self.rows, self.cols = mat.shape
         if self.rows < 1 or self.cols < 1:

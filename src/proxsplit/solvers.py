@@ -22,10 +22,11 @@ configured tolerance.  The iterations need no objective value, so the
 driver evaluates the objective at every iterate only when a ``metric_fn``
 is traced; otherwise at the start point and the returned iterate alone.
 
-A dual is one vector of the stack's product space, its blocks in stack
-order.  dfb and pdfb carry it divided by its dual step, as Chambolle & Pock
-(2011) and Condat (2013) write them, so no dual step rescales a full-length
-vector; their ``y0`` is taken unscaled.
+A dual is one vector y of the stack's product space, its blocks in stack
+order, scaled as Condat (2013) writes it: 0 in grad f(x) + dg(x) +
+B^T (w * y) at a solution.  Every solver's ``y0`` is this y; each divides
+it once by its dual step (lam/gamma in dfb, sigma/gamma in pdfb, rho in
+ADMM) and carries the quotient, so no step rescales a full-length vector.
 """
 
 import dataclasses
@@ -282,11 +283,11 @@ def _residual(x_new, x_old):
 
 
 def _start(v, size, scale=1.0):
-    """A private copy of a starting vector divided by ``scale``; zeros when
-    none is given."""
+    """A private copy of a finite starting vector divided by ``scale``;
+    zeros when none is given."""
     if v is None:
         return np.zeros(size)
-    return as_vector(v, size, "start point") / scale
+    return as_vector(v, size, "start point", finite=True) / scale
 
 
 def _validate(problem, config, algorithm):
@@ -344,8 +345,7 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
         z_i = s_i - prox_{h_i / (t w_i)}(s_i)    for each block i
 
     (the last is y+ = prox_{t h*}(y + t B v) by Moreau's identity), and
-    ends with x+ = prox_{gamma g}(u - lam B^T (w * z)).  ``y0`` is one
-    vector of length ``stack.dual_dim``, given unscaled.
+    ends with x+ = prox_{gamma g}(u - lam B^T (w * z)).
     """
     cfg = _validate(problem, config, "dfb")
     stack, g = problem.stack, problem.simple
@@ -373,17 +373,16 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
 def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
     """Primal-dual forward-backward splitting.
 
-    The dual y is carried as z = y / sigma; an outer step sets
-    u = x - gamma grad f(x) and makes ``inner_iters`` steps
+    With sigma' = sigma / gamma, the dual y is carried as z = y / sigma';
+    an outer step sets u = x - gamma grad f(x) and makes ``inner_iters`` steps
 
-        x+  = prox_{tau gamma g / (1 + tau)}((x - tau sigma B^T (w * z)
+        x+  = prox_{tau gamma g / (1 + tau)}((x - tau gamma B^T (w * y)
                   + tau u) / (1 + tau))
         s   = z + B (2 x+ - x)
-        z_i = s_i - prox_{gamma h_i / (sigma w_i)}(s_i)    for each block i
+        z_i = s_i - prox_{h_i / (sigma' w_i)}(s_i)    for each block i
 
-    (the last is y+ = gamma prox_{(sigma/gamma) h*}((y + sigma B (2 x+ - x))
-    / gamma) by Moreau's identity applied to gamma h).  ``y0`` is one
-    vector of length ``stack.dual_dim``, given unscaled.
+    (the last is y+ = prox_{sigma' h*}(y + sigma' B (2 x+ - x)) by
+    Moreau's identity, the Condat-Vu dual step).
     """
     cfg = _validate(problem, config, "pdfb")
     stack, g = problem.stack, problem.simple
@@ -403,12 +402,12 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
                 x = x_new
 
     return _iterate(cfg, iterates(_start(x0, problem.dim),
-                                  _start(y0, stack.dual_dim, sigma)),
+                                  _start(y0, stack.dual_dim, sigma / gamma)),
                   metric_fn)
 
 
-def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
-    """Linearized ADMM with scaled dual v for the split y = B x.
+def solve_admm(problem, config, x0=None, y0=None, metric_fn=None):
+    """Linearized ADMM with split variable y = B x and scaled dual v.
 
     Block i carries the penalty rho_i = rho * w_i (rho when unweighted):
 
@@ -417,16 +416,16 @@ def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
         y_i = prox_{h_i / rho_i}(B_i x+ + v_i)    for each block i
         v   = v + B x+ - y
 
-    ``y0`` and ``v0`` are each one vector of length ``stack.dual_dim``.
+    The dual is rho v, so v starts at ``y0`` / rho; y starts at B x0.
     """
     cfg = _validate(problem, config, "admm")
     stack, g = problem.stack, problem.simple
     gamma, rho = cfg.gamma, cfg.rho
 
-    def iterates(x, y, v):
+    def iterates(x, v):
         # B x of the current iterate, shared by the objective, the next
         # x-step and the y- and v-steps.
-        bx = stack.op.apply(x)
+        y = bx = stack.op.apply(x)
         while True:
             yield x, lambda x=x, bx=bx: _objective(problem, x, bx)
             grad = (problem.smooth.gradient(x)
@@ -438,5 +437,4 @@ def solve_admm(problem, config, x0=None, y0=None, v0=None, metric_fn=None):
             v = s - y
 
     return _iterate(cfg, iterates(_start(x0, problem.dim),
-                                  _start(y0, stack.dual_dim),
-                                  _start(v0, stack.dual_dim)), metric_fn)
+                                  _start(y0, stack.dual_dim, rho)), metric_fn)

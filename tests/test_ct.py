@@ -288,6 +288,15 @@ def test_snr_and_nmsd_of_an_overflowing_reference_take_their_limits():
 def test_snr_rejects_constant_reference():
     with pytest.raises(ParameterError):
         ct.snr(np.ones(4), np.zeros(4))
+    # constancy is read from the entries, not from a power that overflows
+    # with the mean, and an empty reference is constant too; a centred
+    # power that underflows to 0 has no ratio either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (np.full(2, 1e308), np.zeros(0), np.array([0.0, 1e-200])):
+            for metric in (ct.snr, ct.nmsd):
+                with pytest.raises(ParameterError, match="reference image"):
+                    metric(x, np.zeros(x.size))
 
 
 def test_snr_and_nmsd_reject_length_mismatch():

@@ -22,8 +22,12 @@ def test_demo_runs(name):
     path = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(
         os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run([sys.executable, str(DEMOS / name)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    # the suite's warning filters, which a subprocess does not inherit
+    warn = [f"-Werror::{w}" for w in ("RuntimeWarning", "DeprecationWarning",
+                                      "PendingDeprecationWarning")]
+    proc = subprocess.run([sys.executable, *warn, str(DEMOS / name)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 

@@ -559,8 +559,8 @@ def shared_operator_problem(weights=None):
 
 
 def warm_starts(seed):
-    """A cold start and a warm one (nonzero x0 and an unscaled dual y0, its
-    two blocks one after the other) for the shared-operator problem."""
+    """A cold start and a warm one (nonzero x0 and a dual y0, its two
+    blocks one after the other) for the shared-operator problem."""
     rng = np.random.default_rng(seed)
     return [{"x0": None, "y0": None},
             {"x0": rng.standard_normal(6), "y0": rng.standard_normal(12)}]
@@ -615,7 +615,8 @@ def test_pdfb_inner_iterations_reproduce_direct_scheme(weights):
         iterates = capture_iterates(solve_pdfb, problem, cfg, **start)
 
         x = np.zeros(6) if start["x0"] is None else start["x0"].copy()
-        ys = start_blocks(start["y0"])
+        # the scheme's dual is gamma times the solvers' common one
+        ys = [gamma * y for y in start_blocks(start["y0"])]
         xbar = x.copy()
         for k in range(10):
             u = x - gamma * (x - b)
@@ -670,14 +671,15 @@ def test_admm_reproduces_linearized_admm_scheme(weights):
     cfg = SolverConfig("admm", gamma=gamma, rho=rho, max_outer=10,
                        eps=1e-300)
     rng = np.random.default_rng(54)
-    cold = {"x0": None, "y0": None, "v0": None}
-    warm = {"x0": rng.standard_normal(6), "y0": rng.standard_normal(12),
-            "v0": rng.standard_normal(12)}
+    cold = {"x0": None, "y0": None}
+    warm = {"x0": rng.standard_normal(6), "y0": rng.standard_normal(12)}
     for start in (cold, warm):
         iterates = capture_iterates(solve_admm, problem, cfg, **start)
 
         x = np.zeros(6) if start["x0"] is None else start["x0"].copy()
-        ys, vs = start_blocks(start["y0"]), start_blocks(start["v0"])
+        # the split starts at B x0 and the scaled dual at y0 / rho
+        ys = np.split(problem.stack.op.apply(x), 2)
+        vs = [y / rho for y in start_blocks(start["y0"])]
         for k in range(10):
             x, ys, vs = linearized_admm_step(problem, gamma, rho, x, ys, vs)
             err = np.linalg.norm(iterates[k + 1] - x)
@@ -689,9 +691,9 @@ def test_admm_rejects_wrong_length_starting_duals():
     # bool is no vector at all, even where numpy would read it as numbers
     problem, *_ = shared_operator_problem()
     cfg = SolverConfig("admm", max_outer=10)
-    for v0 in (np.zeros(11), [np.zeros(6)], [np.zeros(6), np.zeros(5)]):
+    for y0 in (np.zeros(11), [np.zeros(6)], [np.zeros(6), np.zeros(5)]):
         with pytest.raises(DimensionError):
-            solve_admm(problem, cfg, v0=v0)
+            solve_admm(problem, cfg, y0=y0)
     with pytest.raises(DimensionError, match="vector"):
         prox.L1Norm(3).prox([[1.0, 2.0], [3.0]], 1.0)
     for bad in ("abc", "3.0", ["1", "2"], True, np.array([True, False]),
@@ -785,24 +787,37 @@ def test_objective_is_traced_only_with_a_metric(algorithm):
 
 
 def test_fixed_point_stays_fixed():
-    # x* = (0.25, 0.25, 0.75, 0.75) solves the 4-pixel problem; with the
-    # consistent dual y* the iteration stays within 1e-8 for 100 iterations
+    # x* = (0.25, 0.25, 0.75, 0.75) solves the 4-pixel problem and y* is
+    # its dual, 0 = grad f(x*) + B^T y*; every solver started from (x*, y*)
+    # stays within 1e-8 for 100 iterations at any admissible steps
     problem = tv_denoise_problem(FOUR_PIXEL_B)
     x_star = np.array([0.25, 0.25, 0.75, 0.75])
     y_star = np.array([0.25, 0.5, 0.25, 0.0])
-    x0 = x_star + 1e-10
-    gamma = 1.0
-    lam = 0.5 / problem.stack.norm_sq_bound()
-    cfg = SolverConfig("dfb", gamma=gamma, lam=lam, max_outer=100,
-                       eps=1e-300)
-    xs = capture_iterates(solve_dfb, problem, cfg, x0=x0, y0=y_star)
-    assert all(np.linalg.norm(x - x_star) <= 1e-8 for x in xs)
-    cfg_p = SolverConfig("pdfb", gamma=gamma, tau=1.0,
-                         sigma=0.5 / problem.stack.norm_sq_bound(),
-                         max_outer=100, eps=1e-300)
-    xs = capture_iterates(solve_pdfb, problem, cfg_p, x0=x0,
-                          y0=gamma * y_star)
-    assert all(np.linalg.norm(x - x_star) <= 1e-8 for x in xs)
+    assert np.allclose(FOUR_PIXEL_B - x_star,
+                       problem.stack.op.adjoint_apply(y_star))
+    S = problem.stack.norm_sq_bound()
+    for solve, cfg in [
+            (solve_dfb, SolverConfig("dfb", gamma=0.5, lam=0.5 / S)),
+            (solve_pdfb, SolverConfig("pdfb", gamma=0.5, tau=2.0,
+                                      sigma=0.25 / S)),
+            (solve_admm, SolverConfig("admm", rho=2.0))]:
+        cfg = dataclasses.replace(cfg, max_outer=100, eps=1e-300)
+        xs = capture_iterates(solve, problem, cfg, x0=x_star + 1e-10,
+                              y0=y_star)
+        assert all(np.linalg.norm(x - x_star) <= 1e-8 for x in xs), \
+            cfg.algorithm
+
+
+@pytest.mark.parametrize("algorithm", ["dfb", "pdfb", "admm"])
+def test_non_finite_start_is_refused_at_entry(algorithm):
+    # a NaN or inf start is the caller's error, not a divergence of the
+    # iteration, and no arithmetic on it runs
+    problem = tv_denoise_problem(FOUR_PIXEL_B)
+    cfg = SolverConfig(algorithm, max_outer=10)
+    for start in ({"x0": [np.nan, 0, 0, 0]}, {"x0": [np.inf, 0, 0, 0]},
+                  {"y0": [0, np.nan, 0, 0]}):
+        with pytest.raises(ParameterError, match="start point has non-"):
+            SOLVERS[algorithm](problem, cfg, **start)
 
 
 def test_residual_uses_absolute_change_at_zero():
