@@ -17,10 +17,10 @@ The run.* keys are the CLI's own, with their defaults in parentheses.  A
 scene.* key sets the ct.Scene field of its name, and an <algo>.* key the
 solvers.SolverConfig field (lambda sets lam) that solvers.OPTIONS lists for
 the algorithm; an unset key keeps that dataclass's default.  Any other key
-(so a setting an algorithm does not read, such as admm.lambda), a value no
-problem admits (a step, rho or eps that is not finite and positive,
-run.max_outer or inner_iters < 1, a noise variance or lambda that is
-negative or not finite), two runs that would write the same files (one
+(so a setting an algorithm does not read, such as admm.lambda), a key given
+twice, a value no problem admits (a step, rho or eps that is not finite and
+positive, run.max_outer or inner_iters < 1, a noise variance or lambda that
+is negative or not finite), two runs that would write the same files (one
 algorithm, eps equal in %g), a config file that is unreadable or not UTF-8
 and an output directory that cannot be made are usage errors; a step outside
 its convergence bound for the scene is a solver failure.  Exit codes: 0 ok,
@@ -48,8 +48,9 @@ class ConfigError(ProxsplitError):
 
 
 def parse_config(path):
-    """Parse a flat 'key = value' file into a dict; '#' starts a comment."""
-    out = {}
+    """Parse a flat 'key = value' file into a dict; '#' starts a comment.
+    A key given twice is an error."""
+    out, first_line = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -65,7 +66,10 @@ def parse_config(path):
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
-        out[key] = value
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: key {key} was already set "
+                              f"at line {first_line[key]}")
+        out[key], first_line[key] = value, lineno
     return out
 
 

@@ -188,7 +188,7 @@ def add_gaussian_noise(v, variance, seed):
 
 
 def _check_pair(x, x_r):
-    x = as_vector(x)
+    x = as_vector(x, what="reference image", finite=True)
     x_r = as_vector(x_r, x.size, "reconstruction")
     if not x.size or x.min() == x.max():
         raise ParameterError("reference image is constant")

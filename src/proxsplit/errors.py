@@ -76,10 +76,14 @@ def check_reals(u, what="vector", sparse=False):
 
 def as_vector(u, size=None, what="vector", finite=False):
     """``u`` as a flat float array, not copied when it already is one;
-    DimensionError unless it is an array of reals (not ragged, and see
-    :func:`check_reals`) with ``size`` entries, when ``size`` is given;
-    ParameterError if ``finite`` and an entry is not."""
-    u = check_reals(u, what).astype(float, copy=False).ravel()
+    DimensionError unless it is an array of reals (not ragged, with no
+    integer beyond float range, and see :func:`check_reals`) with ``size``
+    entries, when ``size`` is given; ParameterError if ``finite`` and an
+    entry is not."""
+    try:
+        u = check_reals(u, what).astype(float, copy=False).ravel()
+    except OverflowError as err:
+        raise DimensionError(f"{what} is no array of reals: {err}") from err
     if size is not None and u.size != size:
         raise DimensionError(f"{what} has length {u.size}, expected {size}")
     if finite and not np.isfinite(u).all():

@@ -15,18 +15,21 @@ Three families, all on a :class:`CompositeProblem`:
   x-update.
 
 Step-size validation enforces the strict inequalities required for
-convergence.  One driver runs every solver: it keeps the objective,
-residual and metric traces, stops on a non-finite iterate, and stops at the
-first iteration whose relative change ||x+ - x|| / ||x|| drops below the
-configured tolerance.  The iterations need no objective value, so the
-driver evaluates the objective at every iterate only when a ``metric_fn``
-is traced; otherwise at the start point and the returned iterate alone.
+convergence.  Each solver is its recurrence and its dual step; one driver
+runs them all.  It validates the config, makes the starts, keeps the
+objective, residual and metric traces, stops on a non-finite iterate, and
+stops at the first iteration whose relative change ||x+ - x|| / ||x||
+drops below the configured tolerance.  The iterations need no objective
+value, so the driver evaluates the objective at every iterate only when a
+``metric_fn`` is traced; otherwise at the start point and the returned
+iterate alone.
 
 A dual is one vector y of the stack's product space, its blocks in stack
 order, scaled as Condat (2013) writes it: 0 in grad f(x) + dg(x) +
-B^T (w * y) at a solution.  Every solver's ``y0`` is this y; each divides
-it once by its dual step (lam/gamma in dfb, sigma/gamma in pdfb, rho in
-ADMM) and carries the quotient, so no step rescales a full-length vector.
+B^T (w * y) at a solution.  Every solver's ``y0`` is this y.  A solver
+carries z = y / t for its dual step t (lam/gamma in dfb, sigma/gamma in
+pdfb, rho in ADMM), so the driver divides ``y0`` by t once and no step
+rescales a full-length vector.
 """
 
 import dataclasses
@@ -268,12 +271,6 @@ def _objective(problem, x, bx):
     return val if np.isfinite(val) else np.inf
 
 
-def _check_finite(x, k):
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError(
-            f"non-finite iterate at outer iteration {k}", iteration=k)
-
-
 def _residual(x_new, x_old):
     """||x_new - x_old|| / ||x_old|| (the absolute change when x_old = 0),
     as a Python float; not finite whenever the change norm is not."""
@@ -282,54 +279,58 @@ def _residual(x_new, x_old):
     return float(change / denom if denom > 0 else change)
 
 
-def _start(v, size, scale=1.0):
-    """A private copy of a finite starting vector divided by ``scale``;
-    zeros when none is given."""
-    if v is None:
-        return np.zeros(size)
-    return as_vector(v, size, "start point", finite=True) / scale
+def _solve(problem, config, algorithm, dual_step, iterates, x0, y0,
+           metric_fn):
+    """Run the solver of ``algorithm`` from (x0, y0) to the stopping rule
+    and report.
 
-
-def _validate(problem, config, algorithm):
-    """validate_params for the solver of ``algorithm``, which must be the
-    one the config names."""
+    The config must name ``algorithm``; it is checked by validate_params.
+    ``iterates(cfg, x, z)`` starts from private copies of x0 and of
+    z = y0 / dual_step(cfg), zeros when not given, and yields its state
+    ``(x, z, bx)`` by reference: the start first, then one per outer
+    iteration, with bx = B x when the solver made it, else None.  The
+    objective is evaluated at every iterate when ``metric_fn`` traces one,
+    else only at the start and the returned iterate, since the stopping
+    rule does not read it.  An iterate is checked for non-finite entries
+    only when its change is not finite: the previous iterate is finite, so
+    a non-finite one always shows there.
+    """
     if config.algorithm != algorithm:
         raise ParameterError(
             f"solve_{algorithm} got a config for {config.algorithm!r}")
-    return validate_params(problem, config)
+    cfg = validate_params(problem, config)
+    x, z = (np.zeros(size) if v is None
+            else as_vector(v, size, "start point", finite=True) / scale
+            for v, size, scale in ((x0, problem.dim, 1.0),
+                                   (y0, problem.stack.dual_dim,
+                                    dual_step(cfg))))
 
+    def objective_at(x, bx):
+        return objective(problem, x) if bx is None \
+            else _objective(problem, x, bx)
 
-def _iterate(cfg, iterates, metric_fn):
-    """Run a solver's iterates to the stopping rule and report.
-
-    ``iterates`` yields ``(x, objective_at_x)``, where ``objective_at_x()``
-    evaluates the objective at x: the starting point first, then one pair
-    per outer iteration.  The objective is evaluated at every iterate when
-    ``metric_fn`` traces one, else only at the start and the returned
-    iterate, since the stopping rule does not read it.  An iterate is
-    checked for non-finite entries only when its change is not finite:
-    the previous iterate is finite, so a non-finite one always shows there.
-    """
-    x, objective_at_x = next(iterates)
-    obj_trace, res_trace = [objective_at_x()], []
+    states = iterates(cfg, x, z)
+    x, _, bx = next(states)
+    obj_trace, res_trace = [objective_at(x, bx)], []
     metric_trace = [] if metric_fn is None else [metric_fn(x)]
     termination = "max-iters"
     k = 0
     for k in range(1, cfg.max_outer + 1):
-        x_new, objective_at_x = next(iterates)
+        x_new, _, bx = next(states)
         res = _residual(x_new, x)
-        if not np.isfinite(res):
-            _check_finite(x_new, k)
+        if not np.isfinite(res) and not np.isfinite(x_new).all():
+            raise DivergenceError(
+                f"non-finite iterate at outer iteration {k}", iteration=k)
         x = x_new
         res_trace.append(res)
         if metric_fn is not None:
-            obj_trace.append(objective_at_x())
+            obj_trace.append(objective_at(x, bx))
             metric_trace.append(metric_fn(x))
         if res < cfg.eps:
             termination = "tolerance-met"
             break
     if metric_fn is None:
-        obj_trace.append(objective_at_x())
+        obj_trace.append(objective_at(x, bx))
     return SolveReport(x, k, obj_trace, res_trace, termination,
                        metric_trace)
 
@@ -347,17 +348,16 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
     (the last is y+ = prox_{t h*}(y + t B v) by Moreau's identity), and
     ends with x+ = prox_{gamma g}(u - lam B^T (w * z)).
     """
-    cfg = _validate(problem, config, "dfb")
     stack, g = problem.stack, problem.simple
-    gamma, lam = cfg.gamma, cfg.lam
-    t = lam / gamma
 
-    def iterates(x, z):
+    def iterates(cfg, x, z):
+        gamma, lam = cfg.gamma, cfg.lam
+        t = lam / gamma
         # B^T (w * z) of the current dual: the final step of one outer
         # iteration and the first inner step of the next use the same z.
         btz = stack.combined_adjoint(z)
         while True:
-            yield x, lambda x=x: objective(problem, x)
+            yield x, z, None
             u = x - gamma * problem.smooth.gradient(x)
             for _ in range(cfg.inner_iters):
                 v = g.prox(u - lam * btz, gamma)
@@ -366,8 +366,8 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
                 btz = stack.combined_adjoint(z)
             x = g.prox(u - lam * btz, gamma)
 
-    return _iterate(cfg, iterates(_start(x0, problem.dim),
-                                  _start(y0, stack.dual_dim, t)), metric_fn)
+    return _solve(problem, config, "dfb", lambda cfg: cfg.lam / cfg.gamma,
+                  iterates, x0, y0, metric_fn)
 
 
 def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
@@ -384,14 +384,13 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
     (the last is y+ = prox_{sigma' h*}(y + sigma' B (2 x+ - x)) by
     Moreau's identity, the Condat-Vu dual step).
     """
-    cfg = _validate(problem, config, "pdfb")
     stack, g = problem.stack, problem.simple
-    gamma, sigma, tau = cfg.gamma, cfg.sigma, cfg.tau
-    step_g = tau * gamma / (1.0 + tau)
 
-    def iterates(x, z):
+    def iterates(cfg, x, z):
+        gamma, sigma, tau = cfg.gamma, cfg.sigma, cfg.tau
+        step_g = tau * gamma / (1.0 + tau)
         while True:
-            yield x, lambda x=x: objective(problem, x)
+            yield x, z, None
             u = x - gamma * problem.smooth.gradient(x)
             for _ in range(cfg.inner_iters):
                 arg = (x - (tau * sigma) * stack.combined_adjoint(z)
@@ -401,9 +400,8 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
                 z = s - stack.stacked_prox(s, gamma / sigma)
                 x = x_new
 
-    return _iterate(cfg, iterates(_start(x0, problem.dim),
-                                  _start(y0, stack.dual_dim, sigma / gamma)),
-                  metric_fn)
+    return _solve(problem, config, "pdfb", lambda cfg: cfg.sigma / cfg.gamma,
+                  iterates, x0, y0, metric_fn)
 
 
 def solve_admm(problem, config, x0=None, y0=None, metric_fn=None):
@@ -418,16 +416,15 @@ def solve_admm(problem, config, x0=None, y0=None, metric_fn=None):
 
     The dual is rho v, so v starts at ``y0`` / rho; y starts at B x0.
     """
-    cfg = _validate(problem, config, "admm")
     stack, g = problem.stack, problem.simple
-    gamma, rho = cfg.gamma, cfg.rho
 
-    def iterates(x, v):
+    def iterates(cfg, x, v):
+        gamma, rho = cfg.gamma, cfg.rho
         # B x of the current iterate, shared by the objective, the next
         # x-step and the y- and v-steps.
         y = bx = stack.op.apply(x)
         while True:
-            yield x, lambda x=x, bx=bx: _objective(problem, x, bx)
+            yield x, v, bx
             grad = (problem.smooth.gradient(x)
                     + rho * stack.combined_adjoint(bx - y + v))
             x = g.prox(x - gamma * grad, gamma)
@@ -436,5 +433,5 @@ def solve_admm(problem, config, x0=None, y0=None, metric_fn=None):
             y = stack.stacked_prox(s, 1.0 / rho)
             v = s - y
 
-    return _iterate(cfg, iterates(_start(x0, problem.dim),
-                                  _start(y0, stack.dual_dim, rho)), metric_fn)
+    return _solve(problem, config, "admm", lambda cfg: cfg.rho, iterates,
+                  x0, y0, metric_fn)

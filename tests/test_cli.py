@@ -30,6 +30,15 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
     return path
 
 
+def with_line(line, text=BASE_CONFIG):
+    """``text`` with ``line`` in place of the line that sets the same key,
+    or appended when none does, since a config sets each key once."""
+    key = line.partition("=")[0].strip()
+    kept = [other for other in text.splitlines()
+            if other.partition("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 # ------------------------------------------------------------ parse_config
 
 
@@ -41,6 +50,10 @@ def test_parse_config_key_values_and_comments(tmp_path):
 def test_parse_config_reports_line_numbers(tmp_path):
     path = write_config(tmp_path, "scene.n = 8\nnot a pair\n")
     with pytest.raises(ConfigError, match=":2"):
+        cli.parse_config(path)
+    # a key set twice names both lines, where the last value would win
+    path = write_config(tmp_path, "run.eps = 1e-3\n\nrun.eps = 1e-9\n")
+    with pytest.raises(ConfigError, match=":3: key run.eps .* line 1$"):
         cli.parse_config(path)
 
 
@@ -236,7 +249,7 @@ def test_run_invalid_scene_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_run_non_finite_scene_value_is_usage_error(tmp_path, capsys, key,
                                                    value):
-    cfg = write_config(tmp_path, BASE_CONFIG + f"scene.{key} = {value}\n")
+    cfg = write_config(tmp_path, with_line(f"scene.{key} = {value}"))
     assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) \
         == cli.EXIT_USAGE
     assert key in capsys.readouterr().err
@@ -250,7 +263,7 @@ def test_run_non_finite_scene_value_is_usage_error(tmp_path, capsys, key,
     ("admm", "admm.rho = inf")])
 def test_run_bad_solver_value_is_usage_error(tmp_path, capsys, algo, line):
     text = BASE_CONFIG.replace("run.solvers = dfb", f"run.solvers = {algo}")
-    cfg = write_config(tmp_path, text + line + "\n")
+    cfg = write_config(tmp_path, with_line(line, text))
     assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) \
         == cli.EXIT_USAGE
     assert algo in capsys.readouterr().err
@@ -261,7 +274,7 @@ def test_run_bad_solver_value_is_usage_error(tmp_path, capsys, algo, line):
     "run.solvers = dfb,dfb", "run.eps = 1e-3,1.0000001e-3"])
 def test_run_sharing_output_files_is_usage_error(tmp_path, capsys, line):
     # both runs would write trace_dfb_eps0.001.csv and recon_dfb_eps0.001.pgm
-    cfg = write_config(tmp_path, BASE_CONFIG + line + "\n")
+    cfg = write_config(tmp_path, with_line(line))
     assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) \
         == cli.EXIT_USAGE
     assert "dfb_eps0.001" in capsys.readouterr().err

@@ -290,10 +290,12 @@ def test_snr_rejects_constant_reference():
         ct.snr(np.ones(4), np.zeros(4))
     # constancy is read from the entries, not from a power that overflows
     # with the mean, and an empty reference is constant too; a centred
-    # power that underflows to 0 has no ratio either
+    # power that underflows to 0 has no ratio either, nor has a reference
+    # with a NaN or inf entry
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for x in (np.full(2, 1e308), np.zeros(0), np.array([0.0, 1e-200])):
+        for x in (np.full(2, 1e308), np.zeros(0), np.array([0.0, 1e-200]),
+                  np.array([np.nan, 1.0]), np.array([np.inf, 1.0])):
             for metric in (ct.snr, ct.nmsd):
                 with pytest.raises(ParameterError, match="reference image"):
                     metric(x, np.zeros(x.size))

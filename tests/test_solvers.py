@@ -697,13 +697,14 @@ def test_admm_rejects_wrong_length_starting_duals():
     with pytest.raises(DimensionError, match="vector"):
         prox.L1Norm(3).prox([[1.0, 2.0], [3.0]], 1.0)
     for bad in ("abc", "3.0", ["1", "2"], True, np.array([True, False]),
-                [1j], np.array([1 + 2j])):
+                [1j], np.array([1 + 2j]), [10**400]):
         with pytest.raises(DimensionError, match="vector"):
             as_vector(bad)
     with pytest.raises(DimensionError, match="vector"):
         prox.L1Norm(2).prox(["1.5", "-2"], 1.0)
-    # an object array is read entry by entry: reals pass, nothing else does
-    for bad in (["1"], [1.0, "2"], [True]):
+    # an object array is read entry by entry: reals pass, nothing else
+    # does, and an integer no float holds is no real vector either
+    for bad in (["1"], [1.0, "2"], [True], [-10**400, 1]):
         with pytest.raises(DimensionError, match="vector"):
             as_vector(np.array(bad, dtype=object))
     with pytest.raises(DimensionError, match="vector"):
