@@ -187,51 +187,46 @@ def add_gaussian_noise(v, variance, seed):
     return v + math.sqrt(variance) * Stream(seed).gaussians(v.size)
 
 
-def _check_pair(x, x_r):
-    x = as_vector(x, what="reference image", finite=True)
-    x_r = as_vector(x_r, x.size, "reconstruction")
-    if not x.size or x.min() == x.max():
-        raise ParameterError("reference image is constant")
-    with np.errstate(over="ignore"):
-        power = _err_sq(x - x.mean())
-    if power == 0.0:
-        raise ParameterError("reference image's centred power underflows")
-    return x, x_r, power
-
-
 def snr(x, x_r):
     """10 log10(||x - mean(x)||^2 / ||x_r - x||^2) in dB; +inf if exact or
     only the power overflows, -inf if only the error does."""
-    x, x_r, power = _check_pair(x, x_r)
-    return _snr_db(power, x_r - x)
-
-
-def _err_sq(err):
-    """||err||^2, inf without a warning when it overflows."""
-    with np.errstate(over="ignore"):
-        return float(err @ err)
-
-
-def _snr_db(power, err):
-    err_sq = _err_sq(err)
-    if err_sq == 0.0:
-        return np.inf
-    ratio = power / err_sq
-    return -np.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
+    return _snr_metric(x)(x_r)
 
 
 def _snr_metric(x):
-    """The map x_r -> snr(x, x_r) for iterates x_r of x's length, with the
-    reference's checks and centred power made once."""
-    x, _, power = _check_pair(x, x)
-    return lambda x_r: _snr_db(power, x_r - x)
+    """The map x_r -> snr(x, x_r) for reconstructions x_r of x's length,
+    with the reference's checks and centred power made once.  Both squared
+    norms, with the mean and the subtraction under them, are inf without a
+    warning when they overflow."""
+    x = as_vector(x, what="reference image", finite=True)
+    if not x.size or x.min() == x.max():
+        raise ParameterError("reference image is constant")
+    with np.errstate(over="ignore"):
+        centred = x - x.mean()
+        power = float(centred @ centred)
+    if power == 0.0:
+        raise ParameterError("reference image's centred power underflows")
+
+    def metric(x_r):
+        x_r = as_vector(x_r, x.size, "reconstruction")
+        with np.errstate(over="ignore"):
+            err = x_r - x
+            err_sq = float(err @ err)
+        if err_sq == 0.0:
+            return np.inf
+        ratio = power / err_sq
+        return -np.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
+    return metric
 
 
 def nmsd(x, x_r):
-    """||x - x_r|| / ||x - mean(x)||; inf or 0 if only the error or only the
-    power overflows."""
-    x, x_r, power = _check_pair(x, x_r)
-    return math.sqrt(_err_sq(x - x_r)) / math.sqrt(power)
+    """||x - x_r|| / ||x - mean(x)||, which is 10^(-snr(x, x_r)/20): 0 where
+    the SNR is +inf, inf where it is -inf."""
+    return _nmsd(snr(x, x_r))
+
+
+def _nmsd(snr_db):
+    return 10.0 ** (-snr_db / 20.0)
 
 
 @dataclass(frozen=True)
@@ -299,8 +294,8 @@ def run_experiment(scene, configs):
             rows.append(row)
             continue
         row.update(
-            snr_db=snr(instance.phantom, report.x_final),
-            nmsd=nmsd(instance.phantom, report.x_final),
+            snr_db=report.metric_trace[-1],
+            nmsd=_nmsd(report.metric_trace[-1]),
             iterations=report.outer_iters,
             final_objective=report.objective_trace[-1],
             terminated_by=report.termination,

@@ -48,8 +48,8 @@ class LinearOperator:
         if self.rows < 1 or self.cols < 1:
             raise DimensionError(
                 f"operator dimensions must be positive, got {mat.shape}")
-        self._exact_norm_sq = None if norm_sq is None else float(
-            check_real("norm_sq", norm_sq, positive=False))
+        self._exact_norm_sq = None if norm_sq is None else check_real(
+            "norm_sq", norm_sq, positive=False)
         self._norm_sq_cache = {}
 
     def apply(self, x):

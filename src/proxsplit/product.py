@@ -46,10 +46,9 @@ class BlockStack:
             if len(weights) != len(blocks):
                 raise DimensionError(
                     f"{len(weights)} weights for {len(blocks)} blocks")
-            for w in weights:
-                if check_real("weight", w) > 1:
-                    raise ParameterError("weights must lie in (0, 1]")
-            weights = tuple(map(float, weights))
+            weights = tuple(check_real("weight", w) for w in weights)
+            if max(weights) > 1:
+                raise ParameterError("weights must lie in (0, 1]")
             if abs(sum(weights) - 1.0) > 1e-12:
                 raise ParameterError(
                     f"weights must sum to 1, got {sum(weights)}")

@@ -102,9 +102,15 @@ class BoxIndicator(ProxTerm):
 
     def __init__(self, dim, lo=0.0, hi=np.inf):
         super().__init__(dim)
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   for v in (lo, hi)) or not lo <= hi:
-            raise ParameterError(f"box needs reals lo <= hi: {lo!r}, {hi!r}")
+        try:        # a bound may be inf, but not a finite one no float holds
+            ok = all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                     and (abs(v) == np.inf or abs(float(v)) < np.inf)
+                     for v in (lo, hi)) and lo <= hi
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ParameterError(f"box needs reals lo <= hi, each inf or "
+                                 f"held by a float: {lo!r}, {hi!r}")
         self.lo, self.hi = lo, hi
 
     def _value(self, x):
@@ -148,7 +154,7 @@ class Scaled(ProxTerm):
     def __init__(self, inner, s):
         super().__init__(inner.dim)
         self.inner = inner
-        self.s = float(check_real("scale", s))
+        self.s = check_real("scale", s)
 
     def _value(self, x):
         return self.s * self.inner._value(x)

@@ -15,8 +15,6 @@ IEEE-754 double platform (best effort across floating-point environments:
 the integer stream is exact, log/sqrt follow the platform libm).
 """
 
-import operator
-
 import numpy as np
 
 from .errors import check_count
@@ -38,27 +36,23 @@ def mix64(z: int) -> int:
     return int(_mix64_array(z)[0])
 
 
-def _integer(name, value, least=None):
-    """``value`` as an int, if :func:`errors.check_count` takes it."""
-    return operator.index(check_count(name, value, least))
-
-
 def substream_seed(master_seed: int, tag: int) -> int:
     """Derive an independent stream seed for a named purpose tag."""
-    return mix64(_integer("seed", master_seed)
-                 ^ (_integer("tag", tag) * _TAG_MULT))
+    return mix64(check_count("seed", master_seed, least=None)
+                 ^ (check_count("tag", tag, least=None) * _TAG_MULT))
 
 
 class Stream:
     """A single splitmix64 stream with an advancing counter."""
 
     def __init__(self, seed: int):
-        self.seed = np.uint64(_integer("seed", seed) & 0xFFFFFFFFFFFFFFFF)
+        seed = check_count("seed", seed, least=None)
+        self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
 
     def uniforms(self, count: int) -> np.ndarray:
         """Next ``count`` doubles, uniform on [0, 1)."""
-        count = _integer("count", count, least=0)
+        count = check_count("count", count, least=0)
         ks = np.arange(self._counter + 1, self._counter + count + 1,
                        dtype=np.uint64)
         self._counter += count
@@ -67,7 +61,7 @@ class Stream:
 
     def gaussians(self, count: int) -> np.ndarray:
         """Next ``count`` standard normal variates (polar method)."""
-        count = _integer("count", count, least=0)
+        count = check_count("count", count, least=0)
         out = np.empty(count)
         filled = 0
         while filled < count:

@@ -273,9 +273,11 @@ def test_nmsd_of_an_overflowing_reconstruction_is_infinite():
 
 def test_snr_and_nmsd_of_an_overflowing_reference_take_their_limits():
     # the reference's centred power overflows, its mean too for y; where
-    # the error overflows as well (x against zeros) no limit exists
+    # the error overflows as well (x against zeros, z against z_r, whose
+    # difference overflows) no limit exists
     x = np.array([0.0, 1e200])
     y = np.array([1e308, 1e308, 0.0])
+    z, z_r = np.array([0.0, -1e308, 1.0]), np.array([0.0, 1e308, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert ct.snr(x, x + 1) == np.inf
@@ -283,6 +285,9 @@ def test_snr_and_nmsd_of_an_overflowing_reference_take_their_limits():
         assert ct.snr(x, x) == np.inf
         assert np.isnan(ct.snr(x, np.zeros(2)))
         assert ct.snr(y, y + 1) == np.inf
+        for value in (ct.snr(z, z_r), ct.nmsd(z, z_r),
+                      ct._snr_metric(z)(z_r)):
+            assert np.isnan(value)
 
 
 def test_snr_rejects_constant_reference():

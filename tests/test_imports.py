@@ -1,5 +1,6 @@
 """Every module under src/, tests/ and demos/ uses each name it imports,
-and the package imports itself by relative names only.
+the package reads each private name it defines at module level, and it
+imports itself by relative names only.
 
 A name counts as used when the module reads it anywhere or lists it in
 ``__all__``; a package's ``__init__.py`` imports to re-export, so all its
@@ -42,6 +43,39 @@ def unused_imports(path):
             for name, line in imported_names(tree) if name not in used]
 
 
+def private_names(tree):
+    """(name, line) of every private function, class or constant a module
+    defines at its top level; dunder names such as ``__all__`` are not
+    private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def read_names(tree):
+    """Every name a module reads, as a variable, an attribute or an
+    import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 def absolute_self_imports(tree):
     """Line of every import of ``proxsplit`` by its absolute name."""
     for node in ast.walk(tree):
@@ -70,6 +104,26 @@ def test_unused_import_is_found():
                      "__all__ = ['pi']\nprint(numpy.linalg.norm([1.0]))\n")
     assert sorted(name for name, _ in imported_names(tree)
                   if name not in used_names(tree)) == ["os", "turn"]
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    paths = sorted((ROOT / "src" / "proxsplit").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    read = set().union(*map(read_names, trees.values()))
+    unread = [f"{path.relative_to(ROOT)}:{line}: {name}"
+              for path, tree in trees.items()
+              for name, line in private_names(tree) if name not in read]
+    assert unread == []
+
+
+def test_unread_private_name_is_found():
+    defs = ast.parse("_A = 1\n_B, _C = 2, 3\n_D: int = 4\n__all__ = []\n"
+                     "def _f():\n    return _A\nclass _K:\n    pass\n"
+                     "def g():\n    _E = 5\n    return _E\n")
+    uses = ast.parse("from .m import _D\nimport m\nprint(m._K)\n")
+    read = read_names(defs) | read_names(uses)
+    assert sorted(name for name, _ in private_names(defs)
+                  if name not in read) == ["_B", "_C", "_f"]
 
 
 def test_the_package_imports_itself_by_relative_names_only():

@@ -59,9 +59,11 @@ def test_dense_input_is_stored_as_float_csr():
         for given in (bad, np.array(bad), sp.csr_matrix(bad)):
             with pytest.raises(DimensionError, match="reals"):
                 linops.dense(given)
-    # and so is a ragged matrix, as as_vector refuses a ragged vector
+    # and so is a ragged matrix or one holding an integer no float holds,
+    # as as_vector refuses such a vector
     for bad in ([["1", "2"]], np.array([[1, True]], dtype=object),
-                np.array([[1, 2j]], dtype=object), [[1, 2], [3]]):
+                np.array([[1, 2j]], dtype=object), [[1, 2], [3]],
+                [[10**400, 1]]):
         with pytest.raises(DimensionError, match="reals"):
             linops.LinearOperator(bad)
 
