@@ -2,12 +2,12 @@
 
 ``proxsplit run <config> [--out DIR] [--seed N]`` executes the CT
 reconstruction experiment described by a flat ``key = value`` config file
-and writes results.csv, per-run trace CSVs, and PGM reconstructions.
+and writes results.csv, per-run trace CSVs, and PGM reconstructions into
+DIR (default ``.``).
 
 Config keys:
 
     run.solvers (dfb,pdfb,admm)  run.eps (1e-6)  run.max_outer (40000)
-    run.out (.)
     scene.n, scene.n_views, scene.n_rays, scene.geometry, scene.noise_var_b,
     scene.noise_var_prior, scene.seed, scene.lambda1, scene.lambda2
     <algo>.gamma, dfb.lambda, dfb.inner_iters, pdfb.sigma, pdfb.tau,
@@ -16,15 +16,16 @@ Config keys:
 The run.* keys are the CLI's own, with their defaults in parentheses.  A
 scene.* key sets the ct.Scene field of its name, and an <algo>.* key the
 solvers.SolverConfig field (lambda sets lam) that solvers.OPTIONS lists for
-the algorithm; an unset key keeps that dataclass's default.  Any other key
-(so a setting an algorithm does not read, such as admm.lambda), a key given
-twice, a value no problem admits (a step, rho or eps that is not finite and
-positive, run.max_outer or inner_iters < 1, a noise variance or lambda that
-is negative or not finite), two runs that would write the same files (one
-algorithm, eps equal in %g), a config file that is unreadable or not UTF-8
-and an output directory that cannot be made are usage errors; a step outside
-its convergence bound for the scene is a solver failure.  Exit codes: 0 ok,
-1 solver failure, 2 usage error.
+the algorithm; an unset key keeps that dataclass's default.  A key the run
+does not read (misspelt, read by no algorithm, such as admm.lambda, or set
+for an algorithm run.solvers does not name, such as admm.rho in a dfb-only
+run), a key given twice, a value no problem admits (a step, rho or eps that
+is not finite and positive, run.max_outer or inner_iters < 1, a noise
+variance or lambda that is negative or not finite), two runs that would
+write the same files (one algorithm, eps equal in %g), a config file that
+is unreadable or not UTF-8 and an output directory that cannot be made are
+usage errors; a step outside its convergence bound for the scene is a
+solver failure.  Exit codes: 0 ok, 1 solver failure, 2 usage error.
 """
 
 import argparse
@@ -74,64 +75,63 @@ def parse_config(path):
 
 
 def _get(cfg, key, conv, default):
+    """Pop ``key`` from ``cfg`` and convert it, or ``default`` if unset."""
     if key not in cfg:
         return default
+    value = cfg.pop(key)
     try:
-        return conv(cfg[key])
+        return conv(value)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {cfg[key]!r} ({exc})")
+        raise ConfigError(f"bad value for {key}: {value!r} ({exc})")
 
 
 # Config keys that set Scene fields (scene.<field>) and SolverConfig fields
-# (<algo>.<field> for those solvers.OPTIONS lists, with lam as lambda), each
-# converted by the field's type; unset fields keep their defaults.
+# (<algo>.<field> for those solvers.OPTIONS lists for the algorithm, with
+# lam as lambda), each converted by the field's type; unset fields keep
+# their defaults.
 SCENE_KEYS = {f.name: f.type for f in dataclasses.fields(Scene)}
 SOLVER_KEYS = {("lambda" if f.name == "lam" else f.name): (f.name, f.type)
-               for f in dataclasses.fields(SolverConfig)
-               if any(f.name in reads for reads in OPTIONS.values())}
-RUN_KEYS = ("run.solvers", "run.eps", "run.max_outer", "run.out")
-KNOWN_KEYS = frozenset(
-    [f"scene.{k}" for k in SCENE_KEYS] + list(RUN_KEYS)
-    + [f"{a}.{k}" for a, fields in OPTIONS.items()
-       for k, (name, _) in SOLVER_KEYS.items() if name in fields])
+               for f in dataclasses.fields(SolverConfig)}
 
 
-def build_runspec(cfg, out_override=None, seed_override=None):
-    unknown = sorted(set(cfg) - KNOWN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+def build_runspec(cfg, out_dir=".", seed_override=None):
+    """(scene, solver configs, output directory) of a parsed config; a key
+    left unread is an error."""
+    cfg = dict(cfg)
     scene_args = {k: _get(cfg, f"scene.{k}", conv, None)
                   for k, conv in SCENE_KEYS.items() if f"scene.{k}" in cfg}
     if seed_override is not None:
         scene_args["seed"] = seed_override
-    try:
-        scene = Scene(**scene_args)
-    except ParameterError as exc:
-        raise ConfigError(f"bad scene: {exc}")
     solvers = [s.strip() for s in
                _get(cfg, "run.solvers", str, "dfb,pdfb,admm").split(",")]
     eps_list = _get(cfg, "run.eps",
                     lambda v: [float(e) for e in v.split(",")], [1e-6])
     max_outer = _get(cfg, "run.max_outer", int, 40_000)
-    out_dir = Path(out_override if out_override is not None
-                   else _get(cfg, "run.out", str, "."))
+    solver_args = {algo: {name: _get(cfg, f"{algo}.{k}", conv, None)
+                          for k, (name, conv) in SOLVER_KEYS.items()
+                          if name in OPTIONS.get(algo, ())
+                          and f"{algo}.{k}" in cfg}
+                   for algo in dict.fromkeys(solvers)}
+    if cfg:
+        raise ConfigError(f"unknown config key(s): {', '.join(sorted(cfg))}")
 
+    try:
+        scene = Scene(**scene_args)
+    except ParameterError as exc:
+        raise ConfigError(f"bad scene: {exc}")
     configs = []
     for algo in solvers:
-        solver_args = {name: _get(cfg, f"{algo}.{k}", conv, None)
-                       for k, (name, conv) in SOLVER_KEYS.items()
-                       if f"{algo}.{k}" in cfg}
         for eps in eps_list:
             try:
                 configs.append(SolverConfig(algo, max_outer=max_outer,
-                                            eps=eps, **solver_args))
+                                            eps=eps, **solver_args[algo]))
             except ParameterError as exc:
                 raise ConfigError(f"bad {algo} settings: {exc}")
     tags = [_tag(c.algorithm, c.eps) for c in configs]
     shared = sorted({t for t in tags if tags.count(t) > 1})
     if shared:
         raise ConfigError(f"runs share output file tag(s) {shared}")
-    return scene, configs, out_dir
+    return scene, configs, Path(out_dir)
 
 
 def _tag(algorithm, eps):
@@ -151,9 +151,9 @@ def write_pgm(path, image_vec, n):
         f"min = {lo!r}\nmax = {hi!r}\n")
 
 
-def run(config_path, out_override=None, seed_override=None):
+def run(config_path, out_dir=".", seed_override=None):
     cfg = parse_config(config_path)
-    scene, configs, out_dir = build_runspec(cfg, out_override, seed_override)
+    scene, configs, out_dir = build_runspec(cfg, out_dir, seed_override)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -196,10 +196,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="proxsplit",
         description="Proximal-splitting CT reconstruction experiments")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run the experiment in a config file")
     p_run.add_argument("config")
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--out", default=".", help="output directory")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override scene.seed")
 
@@ -207,11 +207,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if args.command == "run":
-        try:
-            return run(args.config, args.out, args.seed)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    parser.print_usage(sys.stderr)
-    return EXIT_USAGE
+    try:
+        return run(args.config, args.out, args.seed)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and its one rule for each
 kind of argument: a count (:func:`check_count`), a real (:func:`check_real`),
 an array of reals (:func:`check_reals`) and a vector (:func:`as_vector`).
-A bool is no count, real or vector.
+A bool is no count, real or vector.  Only the exceptions are exported.
 """
 
 import math
@@ -10,6 +10,9 @@ import operator
 
 import numpy as np
 import scipy.sparse as sp
+
+__all__ = ["ProxsplitError", "DimensionError", "ParameterError",
+           "DivergenceError"]
 
 
 class ProxsplitError(Exception):

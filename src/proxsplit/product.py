@@ -23,7 +23,7 @@ class BlockStack:
 
     ``op`` is B (B x is ``op.apply(x)``, on ``op.cols`` entries): the one
     block's own operator, or the rows of every B_i stacked.  Block i of a
-    dual of length ``dual_dim`` is its ``slices[i]``; ``dual_weights``
+    dual of length ``op.rows`` is its ``slices[i]``; ``dual_weights``
     repeats w_i over block i's rows, and is None when every weight is 1.
     """
 
@@ -56,7 +56,6 @@ class BlockStack:
         ops = [op for op, _ in self.blocks]
         self.op = ops[0] if len(ops) == 1 else LinearOperator(
             sp.vstack([op.matrix for op in ops], format="csr"))
-        self.dual_dim = self.op.rows
         rows = [op.rows for op in ops]
         ends = np.cumsum(rows).tolist()
         self.slices = tuple(map(slice, [0] + ends[:-1], ends))
@@ -65,20 +64,20 @@ class BlockStack:
 
     def combined_adjoint(self, y):
         """B^T (w * y) = sum_i w_i B_i^T y_i, with one adjoint product."""
-        y = as_vector(y, self.dual_dim, "dual")
+        y = as_vector(y, self.op.rows, "dual")
         return self.op.adjoint_apply(
             y if self.dual_weights is None else self.dual_weights * y)
 
     def stacked_prox(self, y, t):
         """Blockwise prox of t h_i with the step t / w_i, for each block i."""
-        y = as_vector(y, self.dual_dim, "dual")
+        y = as_vector(y, self.op.rows, "dual")
         ps = [term.prox(y[s], t / w) for (_, term), w, s
               in zip(self.blocks, self.weights, self.slices)]
         return ps[0] if len(ps) == 1 else np.concatenate(ps)
 
     def value(self, y):
         """sum_i h_i(y_i) at a dual-space point y."""
-        y = as_vector(y, self.dual_dim, "dual")
+        y = as_vector(y, self.op.rows, "dual")
         return sum(term.value(y[s])
                    for (_, term), s in zip(self.blocks, self.slices))
 

@@ -87,13 +87,11 @@ class GroupL21(ProxTerm):
         return float(np.hypot(x[:p], x[p:]).sum())
 
     def _prox(self, u, t):
-        """Group soft threshold of each pair (u_i, u_{p+i})."""
+        """Group soft threshold of each pair (u_i, u_{p+i}); a pair whose
+        norm is at most t, or NaN, is scaled by 0."""
         p = self.dim // 2
         a, b = u[:p], u[p:]
-        norms = np.hypot(a, b)
-        scale = np.zeros(p)
-        pos = norms > 0
-        scale[pos] = np.maximum(1.0 - t / norms[pos], 0.0)
+        scale = np.maximum(1.0 - t / np.fmax(np.hypot(a, b), t), 0.0)
         return np.concatenate([a * scale, b * scale])
 
 

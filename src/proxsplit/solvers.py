@@ -42,9 +42,8 @@ from .errors import (DimensionError, DivergenceError, ParameterError,
 from .linops import safe_norm_sq
 
 __all__ = [
-    "SmoothTerm", "CompositeProblem", "PiccsProblem",
-    "SolverConfig", "SolveReport",
-    "validate_params", "objective",
+    "SmoothTerm", "quadratic_data_term", "CompositeProblem", "PiccsProblem",
+    "SolverConfig", "SolveReport", "validate_params", "objective",
     "solve_dfb", "solve_pdfb", "solve_admm",
 ]
 
@@ -302,7 +301,7 @@ def _solve(problem, config, algorithm, dual_step, iterates, x0, y0,
     x, z = (np.zeros(size) if v is None
             else as_vector(v, size, "start point", finite=True) / scale
             for v, size, scale in ((x0, problem.dim, 1.0),
-                                   (y0, problem.stack.dual_dim,
+                                   (y0, problem.stack.op.rows,
                                     dual_step(cfg))))
 
     def objective_at(x, bx):

@@ -126,15 +126,23 @@ def test_build_runspec_rejects_unknown_keys():
             cli.build_runspec({key: "1"})
 
 
-def test_known_keys_are_scene_run_and_each_algorithms_options():
-    assert cli.KNOWN_KEYS == {
-        "scene.n", "scene.n_views", "scene.n_rays", "scene.geometry",
-        "scene.noise_var_b", "scene.noise_var_prior", "scene.seed",
-        "scene.lambda1", "scene.lambda2",
-        "run.solvers", "run.eps", "run.max_outer", "run.out",
-        "dfb.gamma", "dfb.lambda", "dfb.inner_iters",
-        "pdfb.gamma", "pdfb.sigma", "pdfb.tau", "pdfb.inner_iters",
-        "admm.gamma", "admm.rho"}
+def test_a_dfb_run_refuses_the_keys_it_does_not_read(tmp_path, capsys):
+    # another algorithm's options and run.out are read by no dfb-only run:
+    # each is refused by name, on its own or together, and exits 2
+    for key in ("admm.rho", "pdfb.tau", "run.out"):
+        with pytest.raises(ConfigError, match=key):
+            cli.build_runspec({"run.solvers": "dfb", key: "5"})
+    cfg = write_config(tmp_path, BASE_CONFIG + "admm.rho = 5\npdfb.tau = 1\n"
+                       "run.out = elsewhere\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+    assert "admm.rho, pdfb.tau, run.out" in capsys.readouterr().err
+    assert not out.exists()
+    # the same run reads each of dfb's options
+    _, (config,), _ = cli.build_runspec(
+        {"run.solvers": "dfb", "dfb.gamma": "0.5", "dfb.lambda": "0.1",
+         "dfb.inner_iters": "2"})
+    assert (config.gamma, config.lam, config.inner_iters) == (0.5, 0.1, 2)
 
 
 def test_build_runspec_rejects_bad_eps():
@@ -159,16 +167,15 @@ def test_run_writes_results_trace_and_image(tmp_path):
     assert (out / "recon_dfb_eps0.001.pgm.txt").exists()
 
 
-def test_run_out_key_sets_the_directory_and_out_flag_overrides_it(
+def test_out_flag_sets_the_directory_and_dot_is_the_default(
         tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, BASE_CONFIG + "run.out = from_key\n")
+    cfg = write_config(tmp_path)
     assert cli.main(["run", str(cfg), "--out", "from_flag"]) == cli.EXIT_OK
     assert (tmp_path / "from_flag" / "results.csv").exists()
-    assert not (tmp_path / "from_key").exists()
-    assert cli.main(["run", str(cfg)]) == cli.EXIT_OK
-    assert (tmp_path / "from_key" / "results.csv").exists()
     assert not (tmp_path / "results.csv").exists()
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_OK
+    assert (tmp_path / "results.csv").exists()
 
 
 def test_run_trace_has_one_row_per_iteration(tmp_path):

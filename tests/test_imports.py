@@ -1,6 +1,8 @@
 """Every module under src/, tests/ and demos/ uses each name it imports,
-the package reads each private name it defines at module level, and it
-imports itself by relative names only.
+the package reads each private name it defines at module level, it
+imports itself by relative names only, and each of its modules lists in
+``__all__`` every public function and class it defines, which the package
+exports as they are.
 
 A name counts as used when the module reads it anywhere or lists it in
 ``__all__``; a package's ``__init__.py`` imports to re-export, so all its
@@ -10,6 +12,8 @@ side by side under different names, as an in-process A/B comparison needs.
 
 import ast
 from pathlib import Path
+
+import proxsplit
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,14 +30,26 @@ def imported_names(tree):
                     yield alias.asname or alias.name, node.lineno
 
 
+def listed_names(tree):
+    """The names a module's literal ``__all__`` lists."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
 def used_names(tree):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            used.update(ast.literal_eval(node.value))
-    return used
+    return used.union(listed_names(tree))
+
+
+def unlisted_public_names(tree):
+    """Every public function or class a module defines at its top level
+    that its ``__all__`` does not list."""
+    listed = set(listed_names(tree))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in listed]
 
 
 def unused_imports(path):
@@ -139,3 +155,32 @@ def test_absolute_self_import_is_found():
                      "import numpy, proxsplit as ps\nfrom . import ct\n"
                      "from .rng import Stream\nimport proxsplitter\n")
     assert list(absolute_self_imports(tree)) == [1, 2, 3]
+
+
+EXPORTING = ("errors", "linops", "prox", "product", "solvers", "ct")
+
+
+def test_every_public_definition_is_in_its_modules_all():
+    src = ROOT / "src" / "proxsplit"
+    unlisted = [f"{name}.{hit}" for name in EXPORTING if name != "errors"
+                for hit in unlisted_public_names(
+                    ast.parse((src / f"{name}.py").read_text()))]
+    assert unlisted == []
+
+
+def test_unlisted_public_definition_is_found():
+    tree = ast.parse("__all__ = ['f', 'K']\ndef f():\n    pass\n"
+                     "class K:\n    def m(self):\n        pass\n"
+                     "def g():\n    pass\nclass _P:\n    pass\n"
+                     "class Q:\n    pass\nR = 1\n")
+    assert unlisted_public_names(tree) == ["g", "Q"]
+
+
+def test_the_package_exports_each_modules_all_once_as_it_is():
+    assert len(set(proxsplit.__all__)) == len(proxsplit.__all__)
+    modules = [getattr(proxsplit, name) for name in EXPORTING]
+    assert sorted(proxsplit.__all__) == sorted(
+        name for m in modules for name in m.__all__)
+    unbound = [f"{m.__name__}.{name}" for m in modules for name in m.__all__
+               if getattr(proxsplit, name) is not getattr(m, name)]
+    assert unbound == []

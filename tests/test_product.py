@@ -72,7 +72,7 @@ def test_blocks_are_slices_of_one_dual():
     # with the step t / w_i, bit for bit
     rng = np.random.default_rng(46)
     stack = three_block_stack()
-    assert stack.dual_dim == stack.op.rows == 22
+    assert stack.op.rows == 22
     assert [(s.start, s.stop) for s in stack.slices] == [(0, 6), (6, 10),
                                                          (10, 22)]
     for _ in range(5):

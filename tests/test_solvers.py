@@ -742,21 +742,24 @@ def counted_problem():
 
 
 def test_matvecs_per_iteration():
-    # dfb and pdfb: A and A^T for the gradient, one D for the dual step,
-    # one D^T, and, only when a metric is traced, one D for the objective
-    # (its Ax is the gradient's).  ADMM: A^T, one D^T, one D (shared by the
+    # dfb and pdfb: A and A^T for the gradient, one D and one D^T per inner
+    # step, and, only when a metric is traced, one D for the objective (its
+    # Ax is the gradient's).  ADMM: A^T, one D^T, one D (shared by the
     # y-step and any objective), one A.
     composite, A, D = counted_problem()
     for traced in (False, True):
         kw = {"metric_fn": lambda x: 0.0} if traced else {}
-        d = (2, 1) if traced else (1, 1)
-        for solve, algo, want in [
-                (solve_dfb, "dfb", [(1, 1), d]),
-                (solve_pdfb, "pdfb", [(1, 1), d]),
-                (solve_admm, "admm", [(1, 1), (1, 1)])]:
-            cfg = SolverConfig(algo, max_outer=1, eps=1e-300)
-            assert per_iteration_counts(solve, composite, cfg, [A, D],
-                                        **kw) == want, (algo, traced)
+        for solve, algo in [(solve_dfb, "dfb"), (solve_pdfb, "pdfb")]:
+            for inner in (1, 2):
+                cfg = SolverConfig(algo, max_outer=1, eps=1e-300,
+                                   inner_iters=inner)
+                got = per_iteration_counts(solve, composite, cfg, [A, D],
+                                           **kw)
+                assert got == [(1, 1), (inner + traced, inner)], (
+                    algo, inner, traced)
+        cfg = SolverConfig("admm", max_outer=1, eps=1e-300)
+        assert per_iteration_counts(solve_admm, composite, cfg, [A, D],
+                                    **kw) == [(1, 1), (1, 1)], traced
 
 
 @pytest.mark.parametrize("algorithm", ["dfb", "pdfb", "admm"])
