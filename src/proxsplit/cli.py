@@ -94,9 +94,9 @@ SOLVER_KEYS = {("lambda" if f.name == "lam" else f.name): (f.name, f.type)
                for f in dataclasses.fields(SolverConfig)}
 
 
-def build_runspec(cfg, out_dir=".", seed_override=None):
-    """(scene, solver configs, output directory) of a parsed config; a key
-    left unread is an error."""
+def build_runspec(cfg, seed_override=None):
+    """(scene, solver configs) of a parsed config; a key left unread is an
+    error."""
     cfg = dict(cfg)
     scene_args = {k: _get(cfg, f"scene.{k}", conv, None)
                   for k, conv in SCENE_KEYS.items() if f"scene.{k}" in cfg}
@@ -131,7 +131,7 @@ def build_runspec(cfg, out_dir=".", seed_override=None):
     shared = sorted({t for t in tags if tags.count(t) > 1})
     if shared:
         raise ConfigError(f"runs share output file tag(s) {shared}")
-    return scene, configs, Path(out_dir)
+    return scene, configs
 
 
 def _tag(algorithm, eps):
@@ -153,7 +153,8 @@ def write_pgm(path, image_vec, n):
 
 def run(config_path, out_dir=".", seed_override=None):
     cfg = parse_config(config_path)
-    scene, configs, out_dir = build_runspec(cfg, out_dir, seed_override)
+    scene, configs = build_runspec(cfg, seed_override)
+    out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -28,8 +28,21 @@ A dual is one vector y of the stack's product space, its blocks in stack
 order, scaled as Condat (2013) writes it: 0 in grad f(x) + dg(x) +
 B^T (w * y) at a solution.  Every solver's ``y0`` is this y.  A solver
 carries z = y / t for its dual step t (lam/gamma in dfb, sigma/gamma in
-pdfb, rho in ADMM), so the driver divides ``y0`` by t once and no step
-rescales a full-length vector.
+pdfb, rho in ADMM), so the driver divides ``y0`` by t once.  Only a
+balanced step (below) rescales z afterwards, and only when t changes.
+
+Steps the caller leaves unset in dfb and pdfb are balanced while the solve
+runs; steps the caller sets stay fixed.  The balance is residual balancing
+(Goldstein, Li, Yuan, Esser & Baraniuk 2013, 2015): after each outer step
+it compares the relative primal and dual residuals and, when one exceeds
+1.5 times the other, moves the primal step by a factor 1 - alpha, keeping
+the product of the primal and dual steps at its gate.  alpha starts at 0.5
+and shrinks by 0.95 at each change, and balancing ends once alpha < 1e-3,
+so the steps change at most 122 times, each time to steps inside the gate
+that validate_params enforces.  After the last change the solve is the
+fixed-step iteration, PDFP2O (Chen, Huang & Zhang 2013) for dfb and
+Condat-Vu (Condat 2013) for pdfb, from the point the balance reached, and
+the theorems for those iterations give its convergence.
 """
 
 import dataclasses
@@ -170,13 +183,16 @@ class SolveReport:
     With a ``metric_fn``, ``objective_trace`` and ``metric_trace`` hold one
     entry per iterate, the start point first; without one,
     ``objective_trace`` is ``[f(x0), f(x_final)]`` and ``metric_trace`` is
-    empty.
+    empty.  ``config`` is the validated config with the steps that made
+    ``x_final``: the caller's, or where dfb or pdfb balanced them, the
+    balanced steps of the last iteration.
     """
     x_final: np.ndarray
     outer_iters: int
     objective_trace: list
     residual_trace: list
     termination: str                  # "tolerance-met" | "max-iters"
+    config: SolverConfig
     metric_trace: list = field(default_factory=list)
 
 
@@ -190,13 +206,15 @@ def validate_params(problem, config):
 
     dfb with one inner step is PDFP2O (Chen, Huang & Zhang 2013), which
     converges when gamma < 2/L and lam <= 1/lambda_max(B B^T); the gate
-    is gamma < 2/L and lam < 1/S, and lam's default is 0.9/S.
+    is gamma < 2/L and lam < 1/S.  The defaults are gamma = 1.9/L and
+    lam = 0.99/S.
 
     pdfb with one inner step is the Condat-Vu iteration with primal step
     tau' = tau gamma/(1 + tau) and dual step sigma' = sigma/gamma, which
     converges when 1/tau' - sigma' S > L/2, i.e. when
     sigma tau S < 1 + tau (1 - gamma L/2).  Under gamma < 2/L the right
     side exceeds 1, so the gate gamma < 2/L and sigma tau < 1/S implies it.
+    The defaults are gamma = 1.9/L, tau = 1 and sigma = 0.99/(tau S).
 
     Linearized ADMM with duals u_i = rho_i v_i is the Condat-Vu iteration
     (Condat 2013, Algorithm 3.2; Vu 2013) with primal step gamma and dual
@@ -238,7 +256,7 @@ def validate_params(problem, config):
     if config.algorithm == "dfb":
         lam = config.lam
         if lam is None:
-            lam = 0.9 / S
+            lam = 0.99 / S
         if not lam < 1.0 / S:
             raise ParameterError(
                 f"lambda={lam} violates the dual-step bound "
@@ -249,7 +267,7 @@ def validate_params(problem, config):
     tau = config.tau if config.tau is not None else 1.0
     sigma = config.sigma
     if sigma is None:
-        sigma = 0.9 / (tau * S)
+        sigma = 0.99 / (tau * S)
     if not sigma * tau < 1.0 / S:
         raise ParameterError(
             f"sigma*tau={sigma * tau} violates the strict product bound "
@@ -270,12 +288,61 @@ def _objective(problem, x, bx):
     return val if np.isfinite(val) else np.inf
 
 
-def _residual(x_new, x_old):
-    """||x_new - x_old|| / ||x_old|| (the absolute change when x_old = 0),
-    as a Python float; not finite whenever the change norm is not."""
-    denom = np.linalg.norm(x_old)
-    change = np.linalg.norm(x_new - x_old)
-    return float(change / denom if denom > 0 else change)
+def _relative(v, scale):
+    """||v|| / scale (||v|| itself when scale is 0) as a Python float; not
+    finite whenever ||v|| is not."""
+    size = np.linalg.norm(v)
+    return float(size / scale if scale > 0 else size)
+
+
+class _Balance:
+    """Residual balancing of a primal step p in (0, cap] against its dual
+    step t, in Condat's variables (see the module docstring).
+
+    ``step`` reads the outer step just made, from the arguments of its
+    last proxes.  Its x is prox_{p g}(arg), so (arg - x)/p is in dg(x) and
+    the primal residual is (arg - x)/p + grad f(x) + B^T (w * y), taken
+    relative to max(||grad f(x)||, ||B^T (w * y)||).  Its dual step left
+    q = (y_prev - y)/t + B xbar, the point its proxes returned, where xbar
+    is the point the dual step read, and the dual residual is q - b, taken
+    relative to ||B x||, where b is B x (pdfb) or the B v of the step
+    before (dfb, which never forms B x).  With y_prev, x_prev and the
+    gradient and dual that the x-step read, these are
+
+        (x_prev - x)/p - B^T (w * (y_prev - y)) - (grad f(x_prev) - grad f(x))
+        (y_prev - y)/t - B (x_prev - x)
+
+    for pdfb, and for dfb the same without the B^T term (its x-step reads
+    the updated dual) and with v in place of x in the second.
+    """
+
+    def __init__(self, cap, on):
+        self.cap = cap
+        self.alpha = 0.5 if on else 0.0
+
+    @property
+    def on(self):
+        """Whether p may still change; once it may not, no residual is
+        formed."""
+        return self.alpha >= 1e-3
+
+    def step(self, p, x, arg, grad, bty, q, b, bx):
+        """The primal step of the next outer step."""
+        primal = arg - x
+        primal /= p
+        primal += grad
+        primal += bty
+        rp = _relative(primal, max(np.linalg.norm(grad), np.linalg.norm(bty)))
+        rd = _relative(q - b, np.linalg.norm(bx))
+        if rp > 1.5 * rd:
+            new = min(p / (1.0 - self.alpha), self.cap)
+        elif rp < rd / 1.5:
+            new = p * (1.0 - self.alpha)
+        else:
+            return p
+        if new != p:
+            self.alpha *= 0.95
+        return new
 
 
 def _solve(problem, config, algorithm, dual_step, iterates, x0, y0,
@@ -286,13 +353,14 @@ def _solve(problem, config, algorithm, dual_step, iterates, x0, y0,
     The config must name ``algorithm``; it is checked by validate_params.
     ``iterates(cfg, x, z)`` starts from private copies of x0 and of
     z = y0 / dual_step(cfg), zeros when not given, and yields its state
-    ``(x, z, bx)`` by reference: the start first, then one per outer
-    iteration, with bx = B x when the solver made it, else None.  The
-    objective is evaluated at every iterate when ``metric_fn`` traces one,
-    else only at the start and the returned iterate, since the stopping
-    rule does not read it.  An iterate is checked for non-finite entries
-    only when its change is not finite: the previous iterate is finite, so
-    a non-finite one always shows there.
+    ``(x, bx, cfg)`` by reference: the start first, then one per outer
+    iteration, with bx = B x when the solver made it, else None, and cfg
+    the validated config with the steps that made x.  The objective is
+    evaluated at every iterate when ``metric_fn`` traces one, else only at
+    the start and the returned iterate, since the stopping rule does not
+    read it.  An iterate is checked for non-finite entries only when its
+    change is not finite: the previous iterate is finite, so a non-finite
+    one always shows there.
     """
     if config.algorithm != algorithm:
         raise ParameterError(
@@ -309,14 +377,14 @@ def _solve(problem, config, algorithm, dual_step, iterates, x0, y0,
             else _objective(problem, x, bx)
 
     states = iterates(cfg, x, z)
-    x, _, bx = next(states)
+    x, bx, used = next(states)
     obj_trace, res_trace = [objective_at(x, bx)], []
     metric_trace = [] if metric_fn is None else [metric_fn(x)]
     termination = "max-iters"
     k = 0
     for k in range(1, cfg.max_outer + 1):
-        x_new, _, bx = next(states)
-        res = _residual(x_new, x)
+        x_new, bx, used = next(states)
+        res = _relative(x_new - x, np.linalg.norm(x))
         if not np.isfinite(res) and not np.isfinite(x_new).all():
             raise DivergenceError(
                 f"non-finite iterate at outer iteration {k}", iteration=k)
@@ -330,7 +398,7 @@ def _solve(problem, config, algorithm, dual_step, iterates, x0, y0,
             break
     if metric_fn is None:
         obj_trace.append(objective_at(x, bx))
-    return SolveReport(x, k, obj_trace, res_trace, termination,
+    return SolveReport(x, k, obj_trace, res_trace, termination, used,
                        metric_trace)
 
 
@@ -346,24 +414,44 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
 
     (the last is y+ = prox_{t h*}(y + t B v) by Moreau's identity), and
     ends with x+ = prox_{gamma g}(u - lam B^T (w * z)).
+
+    An unset gamma is balanced in (0, 1.9/L], from 1.9/L, with lam fixed,
+    so t moves against it.  The x-step reads the updated dual, and the
+    dual residual reads B v, of the last inner step, in place of B x,
+    which dfb never forms.
     """
     stack, g = problem.stack, problem.simple
 
     def iterates(cfg, x, z):
         gamma, lam = cfg.gamma, cfg.lam
         t = lam / gamma
+        cap = gamma if problem.smooth.lipschitz > 0 else np.inf
+        rule = _Balance(cap, on=config.gamma is None)
         # B^T (w * z) of the current dual: the final step of one outer
         # iteration and the first inner step of the next use the same z.
         btz = stack.combined_adjoint(z)
+        bv = bv_prev = None
         while True:
-            yield x, z, None
-            u = x - gamma * problem.smooth.gradient(x)
+            yield x, None, cfg
+            grad = problem.smooth.gradient(x)
+            if rule.on and bv_prev is not None:
+                new = rule.step(gamma, x, arg, grad, t * btz, q, bv_prev, bv)
+                if new != gamma:
+                    # y = t z stays: z scales by t / t+ = gamma+ / gamma
+                    z, btz = z * (new / gamma), btz * (new / gamma)
+                    gamma, t = new, lam / new
+                    cfg = dataclasses.replace(cfg, gamma=gamma)
+            u = x - gamma * grad
+            bv_prev = bv
             for _ in range(cfg.inner_iters):
                 v = g.prox(u - lam * btz, gamma)
-                s = z + stack.op.apply(v)
-                z = s - stack.stacked_prox(s, 1.0 / t)
+                bv = stack.op.apply(v)
+                s = z + bv
+                q = stack.stacked_prox(s, 1.0 / t)
+                z = s - q
                 btz = stack.combined_adjoint(z)
-            x = g.prox(u - lam * btz, gamma)
+            arg = u - lam * btz
+            x = g.prox(arg, gamma)
 
     return _solve(problem, config, "dfb", lambda cfg: cfg.lam / cfg.gamma,
                   iterates, x0, y0, metric_fn)
@@ -382,22 +470,53 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
 
     (the last is y+ = prox_{sigma' h*}(y + sigma' B (2 x+ - x)) by
     Moreau's identity, the Condat-Vu dual step).
+
+    When gamma, sigma and tau are all unset, Condat's primal step
+    tau' = tau gamma/(1 + tau) is balanced in (0, gamma/2], from tau = 1,
+    with gamma fixed: tau = tau'/(gamma - tau') and sigma tau stays at its
+    default.  The x-step reads the dual before its update, and B x is
+    carried as the mean of B (2 x+ - x) and B x.
     """
     stack, g = problem.stack, problem.simple
 
     def iterates(cfg, x, z):
         gamma, sigma, tau = cfg.gamma, cfg.sigma, cfg.tau
         step_g = tau * gamma / (1.0 + tau)
+        product = sigma * tau
+        rule = _Balance(gamma / 2.0, on=all(
+            v is None for v in (config.gamma, config.sigma, config.tau)))
+        bx = stack.op.apply(x) if rule.on else None
+        arg = None
         while True:
-            yield x, z, None
-            u = x - gamma * problem.smooth.gradient(x)
-            for _ in range(cfg.inner_iters):
-                arg = (x - (tau * sigma) * stack.combined_adjoint(z)
-                       + tau * u) / (1.0 + tau)
+            yield x, None, cfg
+            grad = problem.smooth.gradient(x)
+            btz = stack.combined_adjoint(z)
+            if rule.on and arg is not None:
+                t = sigma / gamma
+                new = rule.step(step_g, x, arg, grad, t * btz, q, bx, bx)
+                if new != step_g:
+                    tau = new / (gamma - new)
+                    sigma, old = product / tau, sigma
+                    # y = sigma' z stays: z scales by sigma / sigma+
+                    z, btz = z * (old / sigma), btz * (old / sigma)
+                    step_g = tau * gamma / (1.0 + tau)
+                    cfg = dataclasses.replace(cfg, sigma=sigma, tau=tau)
+            u = x - gamma * grad
+            for i in range(cfg.inner_iters):
+                if i:
+                    btz = stack.combined_adjoint(z)
+                arg = (x - (tau * sigma) * btz + tau * u) / (1.0 + tau)
                 x_new = g.prox(arg, step_g)
-                s = z + stack.op.apply(2.0 * x_new - x)
-                z = s - stack.stacked_prox(s, gamma / sigma)
+                bxbar = stack.op.apply(2.0 * x_new - x)
+                s = z + bxbar
+                q = stack.stacked_prox(s, gamma / sigma)
+                z = s - q
                 x = x_new
+                if rule.on:
+                    # B x+ = (B (2 x+ - x) + B x) / 2, made in bxbar's place
+                    bxbar += bx
+                    bxbar *= 0.5
+                    bx = bxbar
 
     return _solve(problem, config, "pdfb", lambda cfg: cfg.sigma / cfg.gamma,
                   iterates, x0, y0, metric_fn)
@@ -423,7 +542,7 @@ def solve_admm(problem, config, x0=None, y0=None, metric_fn=None):
         # x-step and the y- and v-steps.
         y = bx = stack.op.apply(x)
         while True:
-            yield x, v, bx
+            yield x, bx, cfg
             grad = (problem.smooth.gradient(x)
                     + rho * stack.combined_adjoint(bx - y + v))
             x = g.prox(x - gamma * grad, gamma)

@@ -67,20 +67,19 @@ def test_parse_config_rejects_empty_value(tmp_path):
 
 
 def test_build_runspec_defaults():
-    scene, configs, out_dir = cli.build_runspec({})
+    scene, configs = cli.build_runspec({})
     assert scene.n == 64 and scene.n_views == 20 and scene.n_rays == 95
     assert [c.algorithm for c in configs] == ["dfb", "pdfb", "admm"]
     assert all(c.eps == 1e-6 for c in configs)
-    assert str(out_dir) == "."
 
 
 def test_build_runspec_seed_override():
-    scene, _, _ = cli.build_runspec({"scene.seed": "5"}, seed_override=99)
+    scene, _ = cli.build_runspec({"scene.seed": "5"}, seed_override=99)
     assert scene.seed == 99
 
 
 def test_build_runspec_eps_list_expands_configs():
-    _, configs, _ = cli.build_runspec(
+    _, configs = cli.build_runspec(
         {"run.solvers": "dfb,admm", "run.eps": "1e-6,1e-8"})
     assert len(configs) == 4
     assert {(c.algorithm, c.eps) for c in configs} == {
@@ -93,7 +92,7 @@ def test_build_runspec_rejects_unknown_algorithm():
 
 
 def test_build_runspec_per_algorithm_overrides():
-    _, configs, _ = cli.build_runspec(
+    _, configs = cli.build_runspec(
         {"run.solvers": "admm,dfb", "admm.rho": "5.0", "dfb.lambda": "0.1"})
     assert configs[0].rho == 5.0 and configs[0].lam is None
     assert configs[1].rho == 1.0 and configs[1].lam == 0.1
@@ -102,7 +101,7 @@ def test_build_runspec_per_algorithm_overrides():
 def test_inner_iters_reach_solver_config_and_change_the_run(tmp_path):
     keys = {"run.solvers": "dfb,pdfb", "dfb.inner_iters": "3",
             "pdfb.inner_iters": "3"}
-    _, configs, _ = cli.build_runspec(keys)
+    _, configs = cli.build_runspec(keys)
     assert [(c.algorithm, c.inner_iters) for c in configs] == [
         ("dfb", 3), ("pdfb", 3)]
     base = BASE_CONFIG.replace("run.solvers = dfb", "run.solvers = dfb,pdfb")
@@ -139,7 +138,7 @@ def test_a_dfb_run_refuses_the_keys_it_does_not_read(tmp_path, capsys):
     assert "admm.rho, pdfb.tau, run.out" in capsys.readouterr().err
     assert not out.exists()
     # the same run reads each of dfb's options
-    _, (config,), _ = cli.build_runspec(
+    _, (config,) = cli.build_runspec(
         {"run.solvers": "dfb", "dfb.gamma": "0.5", "dfb.lambda": "0.1",
          "dfb.inner_iters": "2"})
     assert (config.gamma, config.lam, config.inner_iters) == (0.5, 0.1, 2)

@@ -124,10 +124,10 @@ def test_validate_fills_defaults():
     problem = tv_denoise_problem(FOUR_PIXEL_B)
     cfg = validate_params(problem, SolverConfig("dfb"))
     assert cfg.gamma == pytest.approx(1.9 / problem.smooth.lipschitz)
-    assert cfg.lam == pytest.approx(0.9 / problem.stack.norm_sq_bound())
+    assert cfg.lam == pytest.approx(0.99 / problem.stack.norm_sq_bound())
     cfg = validate_params(problem, SolverConfig("pdfb"))
     assert cfg.tau == 1.0
-    assert cfg.sigma * cfg.tau < 1.0 / problem.stack.norm_sq_bound()
+    assert cfg.sigma == pytest.approx(0.99 / problem.stack.norm_sq_bound())
     cfg = validate_params(problem, SolverConfig("admm", rho=2.0))
     assert cfg.gamma == pytest.approx(1.9 / (
         problem.smooth.lipschitz + 4.0 * problem.stack.norm_sq_bound()))
