@@ -49,11 +49,11 @@ class ConfigError(ProxsplitError):
 
 
 def parse_config(path):
-    """Parse a flat 'key = value' file into a dict; '#' starts a comment.
-    A key given twice is an error."""
+    """Parse a flat 'key = value' file, UTF-8 with or without a BOM, into a
+    dict; '#' starts a comment.  A key given twice is an error."""
     out, first_line = {}, {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -94,12 +94,9 @@ def zero(rows, cols):
 def first_difference(n):
     """n x n forward difference with a reflexive (all-zero) last row."""
     check_count("n", n, error=DimensionError)
-    rows = np.repeat(np.arange(n - 1), 2)
-    cols = np.empty(2 * (n - 1), dtype=int)
-    cols[0::2] = np.arange(n - 1)
-    cols[1::2] = np.arange(1, n)
-    data = np.tile([-1.0, 1.0], n - 1)
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    main = np.append(np.full(n - 1, -1.0), 0.0)
+    mat = sp.diags([main, np.ones(n - 1)], [0, 1], shape=(n, n), format="csr")
+    mat.eliminate_zeros()           # the zero last row stores nothing
     return LinearOperator(mat)
 
 

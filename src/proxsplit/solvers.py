@@ -465,7 +465,7 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
 
         x+  = prox_{tau gamma g / (1 + tau)}((x - tau gamma B^T (w * y)
                   + tau u) / (1 + tau))
-        s   = z + B (2 x+ - x)
+        s   = z + 2 B x+ - B x
         z_i = s_i - prox_{h_i / (sigma' w_i)}(s_i)    for each block i
 
     (the last is y+ = prox_{sigma' h*}(y + sigma' B (2 x+ - x)) by
@@ -474,8 +474,8 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
     When gamma, sigma and tau are all unset, Condat's primal step
     tau' = tau gamma/(1 + tau) is balanced in (0, gamma/2], from tau = 1,
     with gamma fixed: tau = tau'/(gamma - tau') and sigma tau stays at its
-    default.  The x-step reads the dual before its update, and B x is
-    carried as the mean of B (2 x+ - x) and B x.
+    default.  The x-step reads the dual before its update, and the one B x+
+    of each inner step serves the dual step, the balance and the objective.
     """
     stack, g = problem.stack, problem.simple
 
@@ -485,12 +485,11 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
         product = sigma * tau
         rule = _Balance(gamma / 2.0, on=all(
             v is None for v in (config.gamma, config.sigma, config.tau)))
-        bx = stack.op.apply(x) if rule.on else None
+        bx, btz = stack.op.apply(x), stack.combined_adjoint(z)
         arg = None
         while True:
-            yield x, None, cfg
+            yield x, bx, cfg
             grad = problem.smooth.gradient(x)
-            btz = stack.combined_adjoint(z)
             if rule.on and arg is not None:
                 t = sigma / gamma
                 new = rule.step(step_g, x, arg, grad, t * btz, q, bx, bx)
@@ -502,21 +501,14 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
                     step_g = tau * gamma / (1.0 + tau)
                     cfg = dataclasses.replace(cfg, sigma=sigma, tau=tau)
             u = x - gamma * grad
-            for i in range(cfg.inner_iters):
-                if i:
-                    btz = stack.combined_adjoint(z)
+            for _ in range(cfg.inner_iters):
                 arg = (x - (tau * sigma) * btz + tau * u) / (1.0 + tau)
-                x_new = g.prox(arg, step_g)
-                bxbar = stack.op.apply(2.0 * x_new - x)
-                s = z + bxbar
+                x = g.prox(arg, step_g)
+                bx, bx_old = stack.op.apply(x), bx
+                s = z + (2.0 * bx - bx_old)
                 q = stack.stacked_prox(s, gamma / sigma)
                 z = s - q
-                x = x_new
-                if rule.on:
-                    # B x+ = (B (2 x+ - x) + B x) / 2, made in bxbar's place
-                    bxbar += bx
-                    bxbar *= 0.5
-                    bx = bxbar
+                btz = stack.combined_adjoint(z)
 
     return _solve(problem, config, "pdfb", lambda cfg: cfg.sigma / cfg.gamma,
                   iterates, x0, y0, metric_fn)

@@ -47,6 +47,16 @@ def test_parse_config_key_values_and_comments(tmp_path):
     assert cli.parse_config(path) == {"a.b": "1", "c": "two"}
 
 
+def test_parse_config_skips_a_byte_order_mark(tmp_path):
+    # editors on Windows start a UTF-8 file with U+FEFF; it is no part of
+    # the first key
+    text = BASE_CONFIG.partition("\n")[2]      # starts with scene.n
+    path = write_config(tmp_path, text)
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert cli.parse_config(bom) == cli.parse_config(path)
+
+
 def test_parse_config_reports_line_numbers(tmp_path):
     path = write_config(tmp_path, "scene.n = 8\nnot a pair\n")
     with pytest.raises(ConfigError, match=":2"):

@@ -451,7 +451,7 @@ def fixed_step_run(problem, algo, steps, eps):
     stack, g = problem.stack, problem.simple
     gamma = steps.gamma
     x, z = np.zeros(problem.dim), np.zeros(stack.op.rows)
-    btz = stack.combined_adjoint(z)
+    bx, btz = stack.op.apply(x), stack.combined_adjoint(z)
     residuals = []
     while not residuals or residuals[-1] >= eps:
         u = x - gamma * problem.smooth.gradient(x)
@@ -466,7 +466,8 @@ def fixed_step_run(problem, algo, steps, eps):
             sigma, tau = steps.sigma, steps.tau
             arg = (x - (tau * sigma) * btz + tau * u) / (1.0 + tau)
             x_new = g.prox(arg, tau * gamma / (1.0 + tau))
-            s = z + stack.op.apply(2.0 * x_new - x)
+            bx, bx_old = stack.op.apply(x_new), bx
+            s = z + (2.0 * bx - bx_old)
             z = s - stack.stacked_prox(s, gamma / sigma)
             btz = stack.combined_adjoint(z)
         size = np.linalg.norm(x)

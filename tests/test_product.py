@@ -46,6 +46,10 @@ def test_rejects_bad_weights():
         BlockStack(blocks, weights=["0.5", 0.5])
     with pytest.raises(ParameterError):
         BlockStack(blocks[:1], weights=[True])
+    # a lone weight just above 1 sums to 1 within rounding, but is no
+    # weight in (0, 1]
+    with pytest.raises(ParameterError, match=r"lie in \(0, 1\]"):
+        BlockStack(blocks[:1], weights=[1 + 4e-13])
 
 
 def test_single_block_weight_one_allowed():

@@ -742,10 +742,11 @@ def counted_problem():
 
 
 def test_matvecs_per_iteration():
-    # dfb and pdfb: A and A^T for the gradient, one D and one D^T per inner
-    # step, and, only when a metric is traced, one D for the objective (its
-    # Ax is the gradient's).  ADMM: A^T, one D^T, one D (shared by the
-    # y-step and any objective), one A.
+    # dfb and pdfb: A and A^T for the gradient and one D and one D^T per
+    # inner step.  pdfb's D x serves any objective; dfb's D v is not D x,
+    # so dfb makes one more D for the objective when a metric is traced
+    # (its Ax is the gradient's).  ADMM: A^T, one D^T, one D (shared by
+    # the y-step and any objective), one A.
     composite, A, D = counted_problem()
     for traced in (False, True):
         kw = {"metric_fn": lambda x: 0.0} if traced else {}
@@ -755,21 +756,31 @@ def test_matvecs_per_iteration():
                                    inner_iters=inner)
                 got = per_iteration_counts(solve, composite, cfg, [A, D],
                                            **kw)
-                assert got == [(1, 1), (inner + traced, inner)], (
+                extra = traced and algo == "dfb"
+                assert got == [(1, 1), (inner + extra, inner)], (
                     algo, inner, traced)
         cfg = SolverConfig("admm", max_outer=1, eps=1e-300)
         assert per_iteration_counts(solve_admm, composite, cfg, [A, D],
                                     **kw) == [(1, 1), (1, 1)], traced
 
 
-@pytest.mark.parametrize("algorithm", ["dfb", "pdfb", "admm"])
-def test_objective_is_traced_only_with_a_metric(algorithm):
+@pytest.mark.parametrize("algorithm, explicit", [
+    pytest.param("dfb", False, id="dfb"),
+    pytest.param("pdfb", False, id="pdfb"),
+    pytest.param("admm", False, id="admm"),
+    pytest.param("pdfb", True, id="pdfb-explicit")])
+def test_objective_is_traced_only_with_a_metric(algorithm, explicit):
     # The objective costs products the iteration does not need, so it is
     # evaluated at every iterate only when a metric is traced; the iterates,
-    # the stop and the residuals must not depend on it.
+    # the stop and the residuals must not depend on it.  Where the solver
+    # yields B x, the objective reads it, balanced or at the caller's steps.
     problem, *_ = counted_problem()
     solve = SOLVERS[algorithm]
     cfg = SolverConfig(algorithm, max_outer=400, eps=1e-5)
+    if explicit:
+        L, S = problem.smooth.lipschitz, problem.stack.norm_sq_bound()
+        cfg = dataclasses.replace(cfg, gamma=1.0 / L, tau=0.5,
+                                  sigma=0.9 / (0.5 * S))
     x0 = np.full(problem.dim, 0.5)
     traced = solve(problem, cfg, x0=x0, metric_fn=lambda x: x.copy())
     plain = solve(problem, cfg, x0=x0)
