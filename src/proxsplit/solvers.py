@@ -200,79 +200,62 @@ def validate_params(problem, config):
     """Check step sizes against the convergence bounds; fill defaults.
 
     Returns a resolved copy of ``config``.  Raises ParameterError naming
-    the violated bound.  Checks that need no problem (names, eps, iteration
-    counts, signs) are made when the SolverConfig is built.  S bounds
-    ||B||^2, the squared norm of the stack into its weighted product space.
+    the algorithm, the violated bound and its value.  Checks that need no
+    problem (names, eps, iteration counts, signs) are made when the
+    SolverConfig is built.  S bounds ||B||^2, the squared norm of the stack
+    into its weighted product space.  Two rules gate all three solvers:
 
-    dfb with one inner step is PDFP2O (Chen, Huang & Zhang 2013), which
-    converges when gamma < 2/L and lam <= 1/lambda_max(B B^T); the gate
-    is gamma < 2/L and lam < 1/S.  The defaults are gamma = 1.9/L and
-    lam = 0.99/S.
+    * gradient step: gamma < 2/B, default 1.9/B, where B is L for dfb and
+      pdfb and L + 2 rho S for ADMM; when B = 0, gamma has no cap and
+      defaults to 1;
+    * step product: P < 1/S, default 0.99/S, where P is lam for dfb and
+      sigma tau for pdfb, whose tau defaults to 1 and sigma to 0.99/(tau S);
+      ADMM has none.
 
-    pdfb with one inner step is the Condat-Vu iteration with primal step
-    tau' = tau gamma/(1 + tau) and dual step sigma' = sigma/gamma, which
-    converges when 1/tau' - sigma' S > L/2, i.e. when
-    sigma tau S < 1 + tau (1 - gamma L/2).  Under gamma < 2/L the right
-    side exceeds 1, so the gate gamma < 2/L and sigma tau < 1/S implies it.
-    The defaults are gamma = 1.9/L, tau = 1 and sigma = 0.99/(tau S).
+    With no finite cap on any step, that is S = 0, or for ADMM B = 0, the
+    config is refused.  Each solver's theorem, for one inner step:
 
-    Linearized ADMM with duals u_i = rho_i v_i is the Condat-Vu iteration
-    (Condat 2013, Algorithm 3.2; Vu 2013) with primal step gamma and dual
-    steps rho_i = rho * w_i, which converges when
-    gamma (L/2 + sum_i rho_i ||B_i||^2) < 1, i.e. gamma < 2/(L + 2 rho S);
-    its default is 1.9/(L + 2 rho S).
+    * dfb, PDFP2O (Chen, Huang & Zhang 2013): gamma < 2/L and
+      lam <= 1/lambda_max(B B^T).
+    * pdfb, Condat-Vu (Condat 2013) with tau' = tau gamma/(1 + tau) and
+      sigma' = sigma/gamma: 1/tau' - sigma' S > L/2.
+    * ADMM, Condat-Vu (Condat 2013, Algorithm 3.2; Vu 2013) with primal
+      step gamma and dual steps rho_i = rho w_i:
+      gamma (L/2 + sum_i rho_i ||B_i||^2) < 1.
+
+    pdfb's condition reads sigma tau S < 1 + tau (1 - gamma L/2), whose
+    right side exceeds 1 under gamma < 2/L, so sigma tau < 1/S implies it.
     """
     L = problem.smooth.lipschitz
     S = problem.stack.norm_sq_bound()
+    algo, admm = config.algorithm, config.algorithm == "admm"
+    B = L + 2.0 * config.rho * S if admm else L
+    b_rule = "L + 2*rho*S" if admm else "L"
+    if not (B if admm else S) > 0:
+        raise ParameterError(
+            f"{algo}: {b_rule if admm else 'S'} = {B if admm else S} with "
+            f"L={L}, S={S}, so no step has a finite cap")
     gamma = config.gamma
-
-    if config.algorithm == "admm":
-        rho = config.rho
-        bound = L + 2.0 * rho * S
-        if not bound > 0:
-            raise ParameterError(
-                f"the linearized-ADMM bound L + 2*rho*S is {bound}: gamma "
-                f"has no finite cap with L={L}, S={S}")
-        if gamma is None:
-            gamma = 1.9 / bound
-        if not gamma < 2.0 / bound:
-            raise ParameterError(
-                f"gamma={gamma} violates the Condat-Vu bound "
-                f"gamma in (0, 2/(L + 2*rho*S)) = (0, {2.0 / bound}) "
-                f"with L={L}, S={S}, rho={rho}")
-        return dataclasses.replace(config, gamma=gamma)
-
-    if not S > 0:
-        raise ParameterError(
-            f"stack norm bound S={S}: every B_i is zero, so the dual step "
-            f"has no finite cap")
     if gamma is None:
-        gamma = 1.9 / L if L > 0 else 1.0
-    if L > 0 and not gamma < 2.0 / L:
+        gamma = 1.9 / B if B > 0 else 1.0
+    if B > 0 and not gamma < 2.0 / B:
         raise ParameterError(
-            f"gamma={gamma} violates the smooth-step bound "
-            f"gamma in (0, 2/L) with L={L}")
-
-    if config.algorithm == "dfb":
-        lam = config.lam
-        if lam is None:
-            lam = 0.99 / S
-        if not lam < 1.0 / S:
-            raise ParameterError(
-                f"lambda={lam} violates the dual-step bound "
-                f"lambda in (0, {1.0 / S}) for S={S}")
-        return dataclasses.replace(config, gamma=gamma, lam=lam)
-
-    # pdfb
-    tau = config.tau if config.tau is not None else 1.0
-    sigma = config.sigma
-    if sigma is None:
-        sigma = 0.99 / (tau * S)
-    if not sigma * tau < 1.0 / S:
+            f"{algo}: gamma={gamma} violates gamma < 2/B = {2.0 / B} with "
+            f"B = {b_rule} = {B}")
+    steps = {"gamma": gamma}
+    if algo == "dfb":
+        product = steps["lam"] = 0.99 / S if config.lam is None else config.lam
+    elif algo == "pdfb":
+        tau = 1.0 if config.tau is None else config.tau
+        sigma = 0.99 / (tau * S) if config.sigma is None else config.sigma
+        steps.update(sigma=sigma, tau=tau)
+        product = sigma * tau
+    if not admm and not product < 1.0 / S:
+        p_rule = "lam" if algo == "dfb" else "sigma*tau"
         raise ParameterError(
-            f"sigma*tau={sigma * tau} violates the strict product bound "
-            f"sigma*tau < 1/S with S={S}")
-    return dataclasses.replace(config, gamma=gamma, sigma=sigma, tau=tau)
+            f"{algo}: {p_rule}={product} violates {p_rule} < 1/S = {1.0 / S} "
+            f"with S={S}")
+    return dataclasses.replace(config, **steps)
 
 
 def objective(problem, x):
@@ -472,10 +455,11 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
     Moreau's identity, the Condat-Vu dual step).
 
     When gamma, sigma and tau are all unset, Condat's primal step
-    tau' = tau gamma/(1 + tau) is balanced in (0, gamma/2], from tau = 1,
-    with gamma fixed: tau = tau'/(gamma - tau') and sigma tau stays at its
-    default.  The x-step reads the dual before its update, and the one B x+
-    of each inner step serves the dual step, the balance and the objective.
+    tau' = tau gamma/(1 + tau) is balanced in (0, tau'0], from its default
+    tau'0, with gamma fixed: tau = tau'/(gamma - tau') and sigma tau stays
+    at its default.  The x-step reads the dual before its update, and the
+    one B x+ of each inner step serves the dual step, the balance and the
+    objective.
     """
     stack, g = problem.stack, problem.simple
 
@@ -483,7 +467,7 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
         gamma, sigma, tau = cfg.gamma, cfg.sigma, cfg.tau
         step_g = tau * gamma / (1.0 + tau)
         product = sigma * tau
-        rule = _Balance(gamma / 2.0, on=all(
+        rule = _Balance(step_g, on=all(
             v is None for v in (config.gamma, config.sigma, config.tau)))
         bx, btz = stack.op.apply(x), stack.combined_adjoint(z)
         arg = None

@@ -2,15 +2,15 @@
 
 ``run.py --workload W --seed 0 --seconds 0 --trace 1 | tail -n 1 |
 python3 tests/bench_caps.py W`` exits 1 and names each broken field; the
-line counts the untraced pass's failures too.  The seed-0 caps:
+line counts the untraced pass's failures too.  The seed-0 caps, whose
+traced counts ROADMAP's "Current figures" records:
 - sparse products per iteration, to stay below: a traced ``proxsplit run``
   (ct-desk) makes 5 per dfb iteration, since the objective's B x is one
-  product more, and 4 per pdfb or ADMM one, whose iterations make B x
-  (5.0035, 4.0034, 4.0028), the library 4 (tv-denoise 4.0036 and 4.0023,
-  ct-fine's pdfb 4.01875: 160 iterations and the B x0 they start from);
-- iterations, about 1.1 times the deterministic counts: ct-desk 861, 883
-  and 715, ct-fine 160, tv-denoise 4485 and 5111;
-- set-up's power iteration, 24, 28 and 16 products (``norm_matvecs``).
+  product more, and 4 per pdfb or ADMM one, whose iterations make B x; the
+  library makes 4, plus the B x0 a pdfb solve starts from, a larger share
+  of ct-fine's few iterations;
+- iterations, about 1.1 times the deterministic counts;
+- set-up's power iteration (``norm_matvecs``), at its count.
 """
 
 import json

@@ -391,6 +391,22 @@ def test_composite_is_one_block_on_d():
     assert stack.blocks[0][0] is inst.D
 
 
+def test_admm_problem_records_the_composite_model():
+    # perfbench's Checker reads A and D1 of this record.
+    inst = ct.build_instance(ct.Scene(n=8, n_views=6, n_rays=12, seed=7))
+    rec = inst.admm_problem()
+    assert rec.A is inst.A and rec.D1 is inst.D and rec.D2 is inst.D
+    assert rec.b is inst.b and rec.x_p is inst.x_p
+    assert (rec.lam1, rec.lam2) == (inst.scene.lambda1, inst.scene.lambda2)
+    assert (rec.lo, rec.hi) == (0.0, np.inf)
+    x = np.random.default_rng(73).uniform(0.0, 1.0, inst.A.cols)
+    r = rec.A.apply(x) - rec.b
+    want = (0.5 * float(r @ r)
+            + rec.lam1 * rec.phi1.value(rec.D1.apply(x - rec.x_p))
+            + rec.lam2 * rec.phi2.value(rec.D2.apply(x)))
+    assert objective(inst.composite(), x) == pytest.approx(want, rel=1e-12)
+
+
 def test_solvers_agree_on_criterion_9_scene():
     # As two blocks on D, the model's two penalties took 4202, 4191 and 900
     # iterations here, and the three solvers stopped 1.1e-6 apart.

@@ -185,6 +185,10 @@ def test_first_difference_structure():
     assert np.array_equal(mat, expected)
 
 
+def test_repr_gives_the_shape():
+    assert repr(linops.dense(np.ones((2, 3)))) == "LinearOperator(2x3)"
+
+
 def test_first_difference_n1_is_zero():
     op = linops.first_difference(1)
     assert op.rows == op.cols == 1

@@ -285,6 +285,25 @@ def test_validate_rejects_zero_stack_bound_dfb_pdfb(cfg):
         validate_params(problem, cfg)
 
 
+@pytest.mark.parametrize("algorithm", ["dfb", "pdfb"])
+def test_validate_leaves_gamma_uncapped_without_curvature(algorithm):
+    # L = 0 and S > 0: gamma defaults to 1 and any gamma > 0 passes
+    problem = tv_denoise_problem(FOUR_PIXEL_B)
+    problem = CompositeProblem(SmoothTerm(lambda x: 0.0, np.zeros_like, 0.0),
+                               problem.simple, problem.stack)
+    assert problem.stack.norm_sq_bound() > 0
+    assert validate_params(problem, SolverConfig(algorithm)).gamma == 1.0
+    cfg = validate_params(problem, SolverConfig(algorithm, gamma=1e3))
+    assert cfg.gamma == 1e3
+
+
+def test_validate_accepts_zero_stack_for_admm_with_curvature():
+    # S = 0 and L > 0: L + 2 rho S = L caps gamma
+    problem = zero_operator_problem(lipschitz=1.0)
+    cfg = validate_params(problem, SolverConfig("admm"))
+    assert cfg.gamma == 1.9 / 1.0
+
+
 def test_validate_rejects_zero_admm_bound():
     # L + 2 rho S = 0: no smooth curvature and a zero stack
     problem = zero_operator_problem(lipschitz=0.0)
