@@ -28,6 +28,7 @@ class BlockStack:
     """
 
     def __init__(self, blocks, weights=None):
+        self.blocks = blocks = tuple(blocks)
         if not blocks:
             raise DimensionError("BlockStack needs at least one block")
         dims = {op.cols for op, _ in blocks}
@@ -38,7 +39,6 @@ class BlockStack:
             if op.rows != term.dim:
                 raise DimensionError(
                     f"operator output {op.rows} != term dim {term.dim}")
-        self.blocks = tuple(blocks)
         if weights is None:
             weights = (1.0,) * len(blocks)
         else:
@@ -53,7 +53,7 @@ class BlockStack:
                 raise ParameterError(
                     f"weights must sum to 1, got {sum(weights)}")
         self.weights = weights
-        ops = [op for op, _ in self.blocks]
+        ops = [op for op, _ in blocks]
         self.op = ops[0] if len(ops) == 1 else LinearOperator(
             sp.vstack([op.matrix for op in ops], format="csr"))
         rows = [op.rows for op in ops]

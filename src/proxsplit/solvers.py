@@ -28,7 +28,7 @@ A dual is one vector y of the stack's product space, its blocks in stack
 order, scaled as Condat (2013) writes it: 0 in grad f(x) + dg(x) +
 B^T (w * y) at a solution.  Every solver's ``y0`` is this y.  A solver
 carries z = y / t for its dual step t (lam/gamma in dfb, sigma/gamma in
-pdfb, rho in ADMM), so the driver divides ``y0`` by t once.  Only a
+pdfb, rho in ADMM), and divides ``y0`` by t once as it starts.  Only a
 balanced step (below) rescales z afterwards, and only when t changes.
 
 Steps the caller leaves unset in dfb and pdfb are balanced while the solve
@@ -179,13 +179,13 @@ class SolverConfig:
 class SolveReport:
     """What a solve did.
 
-    ``residual_trace[k-1]`` is the relative change of outer iteration k.
-    With a ``metric_fn``, ``objective_trace`` and ``metric_trace`` hold one
-    entry per iterate, the start point first; without one,
-    ``objective_trace`` is ``[f(x0), f(x_final)]`` and ``metric_trace`` is
-    empty.  ``config`` is the validated config with the steps that made
-    ``x_final``: the caller's, or where dfb or pdfb balanced them, the
-    balanced steps of the last iteration.
+    ``residual_trace[k-1]`` is the relative change of outer iteration k,
+    NaN where ||x|| overflowed.  With a ``metric_fn``, ``objective_trace``
+    and ``metric_trace`` hold one entry per iterate, the start point first;
+    without one, ``objective_trace`` is ``[f(x0), f(x_final)]`` and
+    ``metric_trace`` is empty.  ``config`` is the validated config with the
+    steps that made ``x_final``: the caller's, or where dfb or pdfb
+    balanced them, the balanced steps of the last iteration.
     """
     x_final: np.ndarray
     outer_iters: int
@@ -260,12 +260,13 @@ def validate_params(problem, config):
 
 def objective(problem, x):
     """f(x) + g(x) + sum_i h_i(B_i x); +inf if an indicator is violated."""
-    x = as_vector(x, problem.dim)
-    return _objective(problem, x, problem.stack.op.apply(x))
+    return _objective(problem, as_vector(x, problem.dim))
 
 
-def _objective(problem, x, bx):
-    """The objective at x given the product bx = B x."""
+def _objective(problem, x, bx=None):
+    """The objective at x, reading bx = B x when given, else making it."""
+    if bx is None:
+        bx = problem.stack.op.apply(x)
     val = (problem.smooth.value(x) + problem.simple.value(x)
            + problem.stack.value(bx))
     return val if np.isfinite(val) else np.inf
@@ -273,7 +274,9 @@ def _objective(problem, x, bx):
 
 def _relative(v, scale):
     """||v|| / scale (||v|| itself when scale is 0) as a Python float; not
-    finite whenever ||v|| is not."""
+    finite whenever ||v|| is not, and NaN when scale has overflowed."""
+    if scale == np.inf:
+        return np.nan
     size = np.linalg.norm(v)
     return float(size / scale if scale > 0 else size)
 
@@ -328,14 +331,13 @@ class _Balance:
         return new
 
 
-def _solve(problem, config, algorithm, dual_step, iterates, x0, y0,
-           metric_fn):
+def _solve(problem, config, algorithm, iterates, x0, y0, metric_fn):
     """Run the solver of ``algorithm`` from (x0, y0) to the stopping rule
     and report.
 
     The config must name ``algorithm``; it is checked by validate_params.
-    ``iterates(cfg, x, z)`` starts from private copies of x0 and of
-    z = y0 / dual_step(cfg), zeros when not given, and yields its state
+    ``iterates(cfg, x, y)`` starts from a private copy of x0 and from y0,
+    zeros when not given, divides y by its dual step, and yields its state
     ``(x, bx, cfg)`` by reference: the start first, then one per outer
     iteration, with bx = B x when the solver made it, else None, and cfg
     the validated config with the steps that made x.  The objective is
@@ -349,19 +351,12 @@ def _solve(problem, config, algorithm, dual_step, iterates, x0, y0,
         raise ParameterError(
             f"solve_{algorithm} got a config for {config.algorithm!r}")
     cfg = validate_params(problem, config)
-    x, z = (np.zeros(size) if v is None
-            else as_vector(v, size, "start point", finite=True) / scale
-            for v, size, scale in ((x0, problem.dim, 1.0),
-                                   (y0, problem.stack.op.rows,
-                                    dual_step(cfg))))
-
-    def objective_at(x, bx):
-        return objective(problem, x) if bx is None \
-            else _objective(problem, x, bx)
-
-    states = iterates(cfg, x, z)
+    x, y = (np.zeros(size) if v is None
+            else as_vector(v, size, "start point", finite=True)
+            for v, size in ((x0, problem.dim), (y0, problem.stack.op.rows)))
+    states = iterates(cfg, x.copy(), y)
     x, bx, used = next(states)
-    obj_trace, res_trace = [objective_at(x, bx)], []
+    obj_trace, res_trace = [_objective(problem, x, bx)], []
     metric_trace = [] if metric_fn is None else [metric_fn(x)]
     termination = "max-iters"
     k = 0
@@ -374,13 +369,13 @@ def _solve(problem, config, algorithm, dual_step, iterates, x0, y0,
         x = x_new
         res_trace.append(res)
         if metric_fn is not None:
-            obj_trace.append(objective_at(x, bx))
+            obj_trace.append(_objective(problem, x, bx))
             metric_trace.append(metric_fn(x))
         if res < cfg.eps:
             termination = "tolerance-met"
             break
     if metric_fn is None:
-        obj_trace.append(objective_at(x, bx))
+        obj_trace.append(_objective(problem, x, bx))
     return SolveReport(x, k, obj_trace, res_trace, termination, used,
                        metric_trace)
 
@@ -405,9 +400,10 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
     """
     stack, g = problem.stack, problem.simple
 
-    def iterates(cfg, x, z):
+    def iterates(cfg, x, y):
         gamma, lam = cfg.gamma, cfg.lam
         t = lam / gamma
+        z = y / t
         cap = gamma if problem.smooth.lipschitz > 0 else np.inf
         rule = _Balance(cap, on=config.gamma is None)
         # B^T (w * z) of the current dual: the final step of one outer
@@ -436,8 +432,7 @@ def solve_dfb(problem, config, x0=None, y0=None, metric_fn=None):
             arg = u - lam * btz
             x = g.prox(arg, gamma)
 
-    return _solve(problem, config, "dfb", lambda cfg: cfg.lam / cfg.gamma,
-                  iterates, x0, y0, metric_fn)
+    return _solve(problem, config, "dfb", iterates, x0, y0, metric_fn)
 
 
 def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
@@ -463,8 +458,9 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
     """
     stack, g = problem.stack, problem.simple
 
-    def iterates(cfg, x, z):
+    def iterates(cfg, x, y):
         gamma, sigma, tau = cfg.gamma, cfg.sigma, cfg.tau
+        z = y / (sigma / gamma)
         step_g = tau * gamma / (1.0 + tau)
         product = sigma * tau
         rule = _Balance(step_g, on=all(
@@ -494,8 +490,7 @@ def solve_pdfb(problem, config, x0=None, y0=None, metric_fn=None):
                 z = s - q
                 btz = stack.combined_adjoint(z)
 
-    return _solve(problem, config, "pdfb", lambda cfg: cfg.sigma / cfg.gamma,
-                  iterates, x0, y0, metric_fn)
+    return _solve(problem, config, "pdfb", iterates, x0, y0, metric_fn)
 
 
 def solve_admm(problem, config, x0=None, y0=None, metric_fn=None):
@@ -512,8 +507,9 @@ def solve_admm(problem, config, x0=None, y0=None, metric_fn=None):
     """
     stack, g = problem.stack, problem.simple
 
-    def iterates(cfg, x, v):
+    def iterates(cfg, x, y):
         gamma, rho = cfg.gamma, cfg.rho
+        v = y / rho
         # B x of the current iterate, shared by the objective, the next
         # x-step and the y- and v-steps.
         y = bx = stack.op.apply(x)
@@ -527,5 +523,4 @@ def solve_admm(problem, config, x0=None, y0=None, metric_fn=None):
             y = stack.stacked_prox(s, 1.0 / rho)
             v = s - y
 
-    return _solve(problem, config, "admm", lambda cfg: cfg.rho, iterates,
-                  x0, y0, metric_fn)
+    return _solve(problem, config, "admm", iterates, x0, y0, metric_fn)

@@ -57,6 +57,15 @@ def test_single_block_weight_one_allowed():
     assert len(stack.blocks) == 1
 
 
+def test_blocks_may_come_from_a_generator():
+    D = linops.first_difference(4)
+    listed = BlockStack([(D, prox.L1Norm(4)) for _ in range(2)])
+    generated = BlockStack((D, prox.L1Norm(4)) for _ in range(2))
+    assert len(generated.blocks) == 2
+    assert generated.op.rows == listed.op.rows == 8
+    assert generated.slices == listed.slices
+
+
 # ---------------------------------------------- one operator, one dual vector
 
 

@@ -455,6 +455,19 @@ def test_finite_iterate_with_overflowing_change_does_not_raise(solver):
     assert np.abs(rep.x_final).max() > 1e199
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solver", [solve_dfb, solve_pdfb, solve_admm])
+def test_overflowing_start_norm_is_no_zero_change(solver):
+    # ||x0|| overflows to inf, so the change relative to it is NaN, not 0,
+    # and no solver stops there
+    algorithm = solver.__name__.removeprefix("solve_")
+    rep = solver(tv_denoise_problem(FOUR_PIXEL_B),
+                 SolverConfig(algorithm, eps=1e-8), x0=np.full(4, 1e154))
+    assert rep.termination == "tolerance-met"
+    assert np.isnan(rep.residual_trace[0])
+    assert rep.objective_trace[-1] == pytest.approx(0.375, rel=1e-6)
+
+
 def test_residual_trace_holds_python_floats():
     rep = solve_dfb(tv_denoise_problem(FOUR_PIXEL_B),
                     SolverConfig("dfb", max_outer=5, eps=1e-300))
@@ -852,6 +865,25 @@ def test_non_finite_start_is_refused_at_entry(algorithm):
                   {"y0": [0, np.nan, 0, 0]}):
         with pytest.raises(ParameterError, match="start point has non-"):
             SOLVERS[algorithm](problem, cfg, **start)
+
+
+@pytest.mark.parametrize("algorithm", ["dfb", "pdfb", "admm"])
+def test_starts_stay_the_callers(algorithm):
+    # a solve reads x0 and y0 and works on its own copies: neither changes,
+    # and no iterate it reports is, or views, the caller's x0
+    problem, *_ = shared_operator_problem([0.3, 0.7])
+    start = warm_starts(53)[1]
+    kept = {name: v.copy() for name, v in start.items()}
+    seen = []
+    rep = SOLVERS[algorithm](problem, SolverConfig(algorithm, max_outer=10),
+                             metric_fn=lambda x: seen.append(x) or 0.0,
+                             **start)
+    for name, v in start.items():
+        assert v.dtype == np.float64
+        assert v.tobytes() == kept[name].tobytes()
+    assert len(seen) == rep.outer_iters + 1
+    assert not any(np.shares_memory(x, start["x0"])
+                   for x in [rep.x_final] + seen)
 
 
 def test_residual_uses_absolute_change_at_zero():
